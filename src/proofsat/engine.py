@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .cnf import Clause, Formula, Literal, Variable
@@ -245,15 +246,37 @@ class Solver:
         self.clause_lits: List[Tuple[Literal, ...]] = [
             self.formula.clause(cid).literals for cid in self.formula.ids()
         ]
+        # The instance's clauses, which hash and compare as literal sets, so
+        # recording skips a duplicate in O(1); nothing else reads it.
+        self.clause_set: set = set(self.formula.clauses) if self.config.ccr else set()
         self.clause_len: List[int] = [len(lits) for lits in self.clause_lits]
         self.sat_count: List[int] = [0] * len(self.clause_lits)
         self.false_count: List[int] = [0] * len(self.clause_lits)
-        self.occ: List[List[Tuple[int, Literal]]] = [[] for _ in range(self.n + 1)]
-        for cid, lits in enumerate(self.clause_lits, start=1):
+        # occ_pos[v] / occ_neg[v]: indices of the clauses holding v / -v.
+        occ_pos: List[List[int]] = [[] for _ in range(self.n + 1)]
+        occ_neg: List[List[int]] = [[] for _ in range(self.n + 1)]
+        for i, lits in enumerate(self.clause_lits):
             for lit in lits:
-                self.occ[abs(lit)].append((cid, lit))
-        self.falsified: set = set()
+                if lit > 0:
+                    occ_pos[lit].append(i)
+                else:
+                    occ_neg[-lit].append(i)
+        self.occ_pos, self.occ_neg = occ_pos, occ_neg
+        self.falsified: set = set()  # clause ids
         self.num_sat = 0
+        # Candidates for bcp: a min-heap of clause indices with lazy
+        # deletion.  A clause is unit-open when it has no true literal and
+        # exactly one unassigned one.  Invariant: every unit-open clause is
+        # queued (unit_queued[i] set and i in unit_heap).  A queued clause
+        # that stops being unit-open stays in the heap until it reaches the
+        # top, where _bcp_pick drops it; the flag keeps each clause in the
+        # heap at most once.  Clauses become unit-open only in _assign and
+        # _unassign, which queue them; input unit clauses start out queued
+        # (listed in ascending order, which is already a heap).
+        self.unit_heap: List[int] = [i for i, k in enumerate(self.clause_len) if k == 1]
+        self.unit_queued = bytearray(len(self.clause_lits))
+        for i in self.unit_heap:
+            self.unit_queued[i] = 1
 
         # Trail, indexed by decision level 1..n.
         self.val: List[Optional[bool]] = [None] * (self.n + 1)
@@ -319,29 +342,60 @@ class Solver:
             raise RuntimeError("variable %d assigned twice" % var)
         self.val[var] = value
         self.level_of[var] = level
-        for cid, lit in self.occ[var]:
-            i = cid - 1
-            if (lit > 0) == value:
-                if self.sat_count[i] == 0:
-                    self.num_sat += 1
-                self.sat_count[i] += 1
-            else:
-                self.false_count[i] += 1
-                if self.false_count[i] == self.clause_len[i]:
-                    self.falsified.add(cid)
+        if value:
+            true_occ, false_occ = self.occ_pos[var], self.occ_neg[var]
+        else:
+            true_occ, false_occ = self.occ_neg[var], self.occ_pos[var]
+        sat_count = self.sat_count
+        newly_sat = 0
+        for i in true_occ:
+            if not sat_count[i]:
+                newly_sat += 1
+            sat_count[i] += 1
+        self.num_sat += newly_sat
+        # After the true occurrences, so a clause holding both v and -v is
+        # tested against its final sat count.
+        false_count, clause_len = self.false_count, self.clause_len
+        queued = self.unit_queued
+        for i in false_occ:
+            f = false_count[i] + 1
+            false_count[i] = f
+            rest = clause_len[i] - f
+            if not rest:
+                self.falsified.add(i + 1)
+            elif rest == 1 and not sat_count[i] and not queued[i]:
+                queued[i] = 1
+                heappush(self.unit_heap, i)
 
     def _unassign(self, var: Variable) -> None:
         value = self.val[var]
-        for cid, lit in self.occ[var]:
-            i = cid - 1
-            if (lit > 0) == value:
-                self.sat_count[i] -= 1
-                if self.sat_count[i] == 0:
-                    self.num_sat -= 1
-            else:
-                if self.false_count[i] == self.clause_len[i]:
-                    self.falsified.discard(cid)
-                self.false_count[i] -= 1
+        if value:
+            true_occ, false_occ = self.occ_pos[var], self.occ_neg[var]
+        else:
+            true_occ, false_occ = self.occ_neg[var], self.occ_pos[var]
+        sat_count, false_count, clause_len = self.sat_count, self.false_count, self.clause_len
+        queued = self.unit_queued
+        for i in false_occ:
+            f = false_count[i]
+            false_count[i] = f - 1
+            if f == clause_len[i]:
+                # A falsified clause has no true literal, so it is now unit-open.
+                self.falsified.discard(i + 1)
+                if not queued[i]:
+                    queued[i] = 1
+                    heappush(self.unit_heap, i)
+        # After the false occurrences, so a clause holding both v and -v is
+        # tested against its final false count.
+        newly_unsat = 0
+        for i in true_occ:
+            left = sat_count[i] - 1
+            sat_count[i] = left
+            if not left:
+                newly_unsat += 1
+                if false_count[i] == clause_len[i] - 1 and not queued[i]:
+                    queued[i] = 1
+                    heappush(self.unit_heap, i)
+        self.num_sat -= newly_unsat
         self.val[var] = None
         self.level_of[var] = 0
 
@@ -375,17 +429,34 @@ class Solver:
         return value is not None and value != (lit > 0)
 
     def _bcp_pick(self) -> Optional[Tuple[Variable, bool]]:
-        """Lowest-id clause with exactly one unassigned literal and no
-        satisfied literal; returns the assignment that falsifies that
+        """Lowest-id unit-open clause (exactly one unassigned literal and no
+        satisfied literal); returns the assignment that falsifies that
         literal, so the clause immediately blocks and becomes the parent
-        of the ensuing flip."""
-        for cid, lits in enumerate(self.clause_lits, start=1):
-            i = cid - 1
-            if self.sat_count[i] == 0 and self.false_count[i] == self.clause_len[i] - 1:
-                for lit in lits:
-                    if self.val[abs(lit)] is None:
-                        return (abs(lit), lit < 0)
-        return None
+        of the ensuing flip.
+
+        Every unit-open clause is queued in ``unit_heap`` (see __init__), so
+        once the stale entries above it are dropped, the heap's top is the
+        lowest-id unit-open clause.  The top itself stays queued."""
+        heap, queued = self.unit_heap, self.unit_queued
+        sat_count, false_count, clause_len = self.sat_count, self.false_count, self.clause_len
+        while heap:
+            i = heap[0]
+            if not sat_count[i] and false_count[i] == clause_len[i] - 1:
+                break
+            heappop(heap)
+            queued[i] = 0
+        pick = self._unit_assignment(self.clause_lits[heap[0]]) if heap else None
+        if self.config.debug_checks:
+            self._check_bcp_pick(pick)
+        return pick
+
+    def _unit_assignment(self, lits: Sequence[Literal]) -> Tuple[Variable, bool]:
+        """The assignment falsifying the unassigned literal of a unit-open
+        clause."""
+        for lit in lits:
+            if self.val[abs(lit)] is None:
+                return (abs(lit), lit < 0)
+        raise RuntimeError("unit-open clause has no unassigned literal")
 
     def _choose_new_literal(self) -> Tuple[Variable, bool, bool]:
         if self.config.bcp:
@@ -580,7 +651,7 @@ class Solver:
                     self.stats.cdb_substitutions += 1
                     yield CdbSubstitute(sub[0], sub[1])
         if cfg.ccr and self.d > 0:
-            recorded = self._ccr_record(np_node, np_lits, np_set)
+            recorded = self._ccr_record(np_node, np_lits)
             if recorded is not None:
                 np_clause_id = recorded
                 self.stats.recorded_clauses += 1
@@ -671,27 +742,27 @@ class Solver:
         self.trail_parent[self.d] = np_node
         return (g, var)
 
-    def _ccr_record(
-        self,
-        np_node: int,
-        np_lits: Tuple[Literal, ...],
-        np_set: FrozenSet[Literal],
-    ) -> Optional[int]:
+    def _ccr_record(self, np_node: int, np_lits: Tuple[Literal, ...]) -> Optional[int]:
         """Append the backtracking clause to the instance unless an equal
         clause is already there.  The new clause is falsified by the current
-        prefix by construction; its counters are initialised accordingly."""
+        prefix by construction; its counters are initialised accordingly.
+        Being falsified, it is not unit-open, so it joins the bcp heap only
+        once _unassign un-falsifies it."""
         if not np_lits:
             return None
-        for lits in self.clause_lits:
-            if len(lits) == len(np_lits) and frozenset(lits) == np_set:
-                return None
-        cid = len(self.clause_lits) + 1
+        clause = Clause(np_lits)
+        if clause in self.clause_set:
+            return None
+        self.clause_set.add(clause)
+        i = len(self.clause_lits)
+        cid = i + 1
         self.clause_lits.append(tuple(np_lits))
         self.clause_len.append(len(np_lits))
+        self.unit_queued.append(0)
         sat = false = 0
         for lit in np_lits:
             var = abs(lit)
-            self.occ[var].append((cid, lit))
+            (self.occ_pos if lit > 0 else self.occ_neg)[var].append(i)
             value = self.val[var]
             if value is None:
                 continue
@@ -709,7 +780,7 @@ class Solver:
             raise InvariantViolation("recorded clause is not falsified")
         self.clause_node.append(np_node)
         self.recorded_nodes.add(np_node)
-        self.formula.add_clause(Clause(np_lits))
+        self.formula.add_clause(clause)
         return cid
 
     # -- pruning accounting ----------------------------------------------
@@ -815,6 +886,24 @@ class Solver:
                     "parent clause literal %d not falsified below level %d"
                     % (q, level)
                 )
+
+    def _check_bcp_pick(self, pick: Optional[Tuple[Variable, bool]]) -> None:
+        """The heap's pick must equal a scan of every clause for the
+        lowest-id unit-open one, and the heap never holds a clause twice."""
+        if len(self.unit_heap) > len(self.clause_lits):
+            raise InvariantViolation(
+                "bcp heap holds %d entries for %d clauses"
+                % (len(self.unit_heap), len(self.clause_lits))
+            )
+        expected = None
+        for i, lits in enumerate(self.clause_lits):
+            if self.sat_count[i] == 0 and self.false_count[i] == self.clause_len[i] - 1:
+                expected = self._unit_assignment(lits)
+                break
+        if pick != expected:
+            raise InvariantViolation(
+                "bcp heap picked %r but the lowest-id scan gives %r" % (pick, expected)
+            )
 
     def _check_backtracking_invariant(
         self, np_node: int, np_lits: Sequence[Literal], flip_lit: Literal

@@ -187,6 +187,20 @@ class TestBcp:
         assert out.events[:3] == [BcpDecide(-1), ConflictFound(1), Flip(1)]
         assert out.model == {1: True, 2: True}
 
+    def test_unfalsified_recorded_clause_becomes_a_unit_pick(self):
+        # A recorded clause starts out falsified and outside the unit heap;
+        # popping one of its literals leaves it unit-open, and the next pick
+        # must find it.  The search itself always satisfies or refalsifies a
+        # fresh recording before picking again, so drive the solver by hand.
+        solver = Solver(
+            Formula(3, [(1, 2, 3)]), SolverConfig(bcp=True, ccr=True, debug_checks=True)
+        )
+        solver._push(1, False)
+        solver._push(2, False)
+        assert solver._ccr_record(0, (1, 2)) == 2
+        solver._pop()
+        assert solver._bcp_pick() == (2, False)  # falsify the unassigned literal 2
+
 
 class TestNcb:
     def test_jump_skips_unrelated_level(self):
