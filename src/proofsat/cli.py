@@ -105,7 +105,10 @@ def _build_config(args: argparse.Namespace) -> SolverConfig:
             raise ValueError("--seed must fit in 64 bits")
         seed = args.seed
         heuristic = HEUR_RANDOM
-    wants_proof = bool(getattr(args, "proof", None) or getattr(args, "dot", None))
+    if args.mode != "sss":
+        for flag in ("proof", "dot"):
+            if getattr(args, flag, None):
+                raise ValueError("--%s needs mode sss" % flag)
     return SolverConfig(
         mode=_MODES[args.mode],
         bcp=args.bcp,
@@ -116,7 +119,6 @@ def _build_config(args: argparse.Namespace) -> SolverConfig:
         heuristic=heuristic,
         order=order,
         seed=seed,
-        proof_logging=wants_proof,
     )
 
 

@@ -8,7 +8,8 @@ by 1-based clause ids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import neg
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Variable = int
 Literal = int
@@ -25,8 +26,16 @@ FORMULA_CONFLICT = "conflict"
 FORMULA_UNDETERMINED = "undetermined"
 
 
-def _literal_key(lit: Literal) -> Tuple[int, bool]:
-    return (abs(lit), lit < 0)
+def _ordered(lits: Iterable[Literal]) -> Tuple[Literal, ...]:
+    """Literals sorted by variable index, the positive literal first: the
+    descending sort puts +v ahead of -v and the stable sort by variable
+    keeps it there."""
+    return tuple(sorted(sorted(lits, reverse=True), key=abs))
+
+
+def _tautological(lits: FrozenSet[Literal]) -> bool:
+    """True when the set holds some literal together with its negation."""
+    return not lits.isdisjoint(map(neg, lits))
 
 
 class Clause:
@@ -45,7 +54,16 @@ class Clause:
                 raise ValueError("literal must be a nonzero integer, got %r" % (lit,))
             lits.add(lit)
         self._set = frozenset(lits)
-        self._lits = tuple(sorted(lits, key=_literal_key))
+        self._lits = _ordered(lits)
+
+    @classmethod
+    def _trusted(cls, lits: FrozenSet[Literal]) -> "Clause":
+        """The clause over ``lits``, a frozenset already known to hold only
+        nonzero ints, built without checking each literal again."""
+        clause = object.__new__(cls)
+        clause._set = lits
+        clause._lits = _ordered(lits)
+        return clause
 
     @property
     def literals(self) -> Tuple[Literal, ...]:
@@ -53,7 +71,7 @@ class Clause:
 
     @property
     def is_tautology(self) -> bool:
-        return any(-lit in self._set for lit in self._lits)
+        return _tautological(self._set)
 
     def variables(self) -> Tuple[Variable, ...]:
         return tuple(sorted({abs(lit) for lit in self._lits}))
@@ -284,7 +302,7 @@ def parse_dimacs(text: str) -> Formula:
             if lit == 0:
                 if not current:
                     raise ValueError("line %d: empty clause" % line_no)
-                clause = Clause(current)
+                clause = Clause._trusted(frozenset(current))  # parsed, nonzero
                 current = []
                 seen_clauses += 1
                 if seen_clauses > num_clauses:

@@ -24,6 +24,7 @@ flips are never decisions.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
@@ -146,7 +147,6 @@ class SolverConfig:
     heuristic: str = HEUR_ASCENDING
     order: Tuple[Variable, ...] = ()
     seed: int = 0
-    proof_logging: bool = False
     collect_events: bool = False
     debug_checks: bool = False
 
@@ -156,11 +156,11 @@ class SolverConfig:
         if self.heuristic not in HEURISTICS:
             raise ValueError("unknown heuristic %r" % (self.heuristic,))
         if self.mode == MODE_TAE:
-            for name in ("bcp", "ncb", "ncb_left_adjust", "cdb_1uip", "ccr", "proof_logging"):
+            for name in ("bcp", "ncb", "ncb_left_adjust", "cdb_1uip", "ccr"):
                 if getattr(self, name):
                     raise ValueError("mode tae does not support %s" % name)
         if self.mode == MODE_DLL:
-            for name in ("ncb", "ncb_left_adjust", "cdb_1uip", "ccr", "proof_logging"):
+            for name in ("ncb", "ncb_left_adjust", "cdb_1uip", "ccr"):
                 if getattr(self, name):
                     raise ValueError("mode dll_strict does not support %s" % name)
         if self.ncb_left_adjust and not self.ncb:
@@ -307,26 +307,29 @@ class Solver:
             if self.config.heuristic == HEUR_RANDOM
             else None
         )
-        self._events: Optional[Iterator[StepEvent]] = None
+        # The run's events; the generator starts at the first step.
+        self._events: Iterator[StepEvent] = {
+            MODE_SSS: self._run_sss,
+            MODE_DLL: self._run_dll,
+            MODE_TAE: self._run_tae,
+        }[self.config.mode]()
         self._collected: List[StepEvent] = []
 
     # -- public API -------------------------------------------------------
 
     def solve(self) -> SolveOutcome:
-        while self.step() is not None:
-            pass
+        """Run to completion, draining the event generator directly rather
+        than through one step() call per event; the events collected are
+        the ones step() would collect."""
+        if self.config.collect_events:
+            self._collected.extend(self._events)
+        else:
+            deque(self._events, maxlen=0)
         assert self.outcome is not None
         return self.outcome
 
     def step(self) -> Optional[StepEvent]:
         """Advance by one event; None once the run has finished."""
-        if self._events is None:
-            runner = {
-                MODE_SSS: self._run_sss,
-                MODE_DLL: self._run_dll,
-                MODE_TAE: self._run_tae,
-            }[self.config.mode]
-            self._events = runner()
         try:
             event = next(self._events)
         except StopIteration:
@@ -594,7 +597,7 @@ class Solver:
                     self.stats.conflicts += 1
                     np_node = self.clause_node[r - 1]
                     np_lits = self.clause_lits[r - 1]
-                    np_set = frozenset(np_lits)
+                    np_set = self.formula.clauses[r - 1]._set
                     np_clause_id = r
                     state = yield from self._backtrack(np_node, np_lits, np_set, np_clause_id)
                     np_node, np_lits, np_set, np_clause_id, unsat = state
@@ -631,8 +634,8 @@ class Solver:
                         self.consumed.add(premise)
                 self.stats.nodes_added += 1
                 np_node = new_id
-                np_lits = self.graph.nodes[new_id].clause.literals
-                np_set = frozenset(np_lits)
+                resolvent = self.graph.nodes[new_id].clause
+                np_lits, np_set = resolvent.literals, resolvent._set
                 np_clause_id = None
                 yield BacktrackResolve(new_id)
             elif flipped:

@@ -162,6 +162,15 @@ class TestCheck:
         assert main(["check", str(base_cnf), str(trace)]) == 1
         assert "c trace rejected:" in capsys.readouterr().out
 
+    def test_negative_pivot_fails_without_traceback(self, base_cnf, tmp_path, capsys):
+        # (-2) does follow from clauses 2 and 3, but only on pivot 3.
+        trace = tmp_path / "negpivot.trace"
+        trace.write_text("p trace\no 2 -2 3 0\no 3 -2 -3 0\nr 5 -3 2 3 -2 0\n")
+        assert main(["check", str(base_cnf), str(trace)]) == 1
+        out = capsys.readouterr().out
+        assert "c trace rejected: line 4: pivot must be a positive variable" in out
+        assert "s PROOF FAIL" in out
+
     def test_cnf_errors_are_usage_errors(self, tmp_path, capsys):
         trace = tmp_path / "t.trace"
         trace.write_text("p trace\n")

@@ -440,6 +440,13 @@ class TestStepApi:
         assert seen == run(make_base_formula()).events
         assert solver.outcome.verdict == "UNSAT"
 
+    def test_solve_after_steps_collects_the_whole_stream(self):
+        full = run(make_base_formula()).events
+        solver = Solver(make_base_formula(), SolverConfig(collect_events=True))
+        first = [solver.step() for _ in range(3)]
+        assert first == full[:3]
+        assert solver.solve().events == full
+
     def test_drained_solver_keeps_returning_none(self):
         solver = Solver(Formula(1, [(1,)]))
         solver.solve()
@@ -461,12 +468,10 @@ class TestConfigValidation:
             {"mode": MODE_TAE, "ncb": True},
             {"mode": MODE_TAE, "cdb_1uip": True},
             {"mode": MODE_TAE, "ccr": True},
-            {"mode": MODE_TAE, "proof_logging": True},
             {"mode": MODE_DLL, "ncb": True},
             {"mode": MODE_DLL, "ncb": True, "ncb_left_adjust": True},
             {"mode": MODE_DLL, "cdb_1uip": True},
             {"mode": MODE_DLL, "ccr": True},
-            {"mode": MODE_DLL, "proof_logging": True},
             {"ncb_left_adjust": True},
             {"heuristic": "fixed_order"},
             {"heuristic": "fixed_order", "order": (1, 1)},

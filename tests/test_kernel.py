@@ -1,0 +1,107 @@
+"""The resolution kernel against the list-based formulas it replaced.
+
+``Clause`` orders its literals with two builtin sorts, and ``resolve`` /
+``_oriented_resolvent`` compute resolvents on literal sets.  The reference
+versions below are the earlier ones: a sort keyed by ``_literal_key`` and
+resolvents built from literal lists.  Literals are drawn from few variables
+so that tautological premises, premises holding both v and -v, and
+duplicate literals come up often."""
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from proofsat import Clause, resolve
+from proofsat.proofs import _oriented_resolvent
+
+VARS = 5
+
+literals = st.integers(min_value=1, max_value=VARS).flatmap(
+    lambda v: st.sampled_from((v, -v))
+)
+literal_lists = st.lists(literals, max_size=8)
+pivots = st.integers(min_value=1, max_value=VARS)
+
+kernel_settings = settings(
+    max_examples=200, database=None, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _literal_key(lit):
+    return (abs(lit), lit < 0)
+
+
+def reference_order(lits):
+    return tuple(sorted(set(lits), key=_literal_key))
+
+
+def reference_resolve(d1, d2, v):
+    """Literal order of the resolvent of d1 and d2 on v, +v in d1 and -v in
+    d2; None where the pivot does not fit."""
+    if v not in d1 or -v not in d2:
+        return None
+    return reference_order([lit for lit in d1 if lit != v] + [lit for lit in d2 if lit != -v])
+
+
+def reference_oriented(left, right, v):
+    if v in left and -v in right:
+        return reference_resolve(left, right, v)
+    if -v in left and v in right:
+        return reference_resolve(right, left, v)
+    return None
+
+
+def outcome(fn, *args):
+    """The literal tuple fn returns, or None where it raises ValueError."""
+    try:
+        return fn(*args).literals
+    except ValueError:
+        return None
+
+
+@kernel_settings
+@given(literal_lists)
+def test_clause_order_matches_the_keyed_sort(lits):
+    clause = Clause(lits)
+    assert clause.literals == reference_order(lits)
+    assert clause.is_tautology == any(-lit in lits for lit in lits)
+
+
+@kernel_settings
+@given(literal_lists, literal_lists, pivots, st.booleans())
+def test_resolve_matches_the_list_formula(a, b, v, fit):
+    if fit:
+        a, b = a + [v], b + [-v]
+    d1, d2 = Clause(a), Clause(b)
+    assert outcome(resolve, d1, d2, v) == reference_resolve(d1.literals, d2.literals, v)
+
+
+@kernel_settings
+@given(literal_lists, literal_lists, pivots, st.sampled_from((0, 1, -1)))
+def test_oriented_resolvent_matches_the_list_formula(a, b, v, sign):
+    # sign 1 puts +v on the left, -1 on the right, 0 leaves the premises as
+    # drawn.
+    if sign:
+        a, b = a + [sign * v], b + [-sign * v]
+    left, right = Clause(a), Clause(b)
+    expected = reference_oriented(left.literals, right.literals, v)
+    assert outcome(_oriented_resolvent, left, right, v) == expected
+
+
+@pytest.mark.parametrize(
+    "d1,d2,v",
+    [
+        ((1, -1, 2), (-1, 3), 1),  # first premise holds both v and -v
+        ((1, 2), (-1, 1, 3), 1),  # second premise holds both v and -v
+        ((1, -1), (-1, 1), 1),  # both do: the resolvent is (v -v)
+        ((1, 2), (-1, -2), 1),  # a second clash: tautological resolvent
+        ((1, 2, 3), (-1, 3, 2), 1),  # shared literals collapse
+        ((1,), (-1,), 1),  # the empty clause
+    ],
+)
+def test_edge_cases_match_the_list_formula(d1, d2, v):
+    got = resolve(Clause(d1), Clause(d2), v)
+    assert got.literals == reference_resolve(d1, d2, v)
+    assert got == Clause(reference_resolve(d1, d2, v))
+    assert hash(got) == hash(Clause(got.literals))
+    assert _oriented_resolvent(Clause(d2), Clause(d1), v).literals == got.literals

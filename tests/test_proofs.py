@@ -202,6 +202,31 @@ class TestChecker:
         report = check_refutation(RefutationGraph(), make_base_formula())
         assert report.valid and not report.complete and report.size == 0
 
+    @pytest.mark.parametrize("bad_pivot", [-3, 0, None])
+    def test_pivot_that_is_not_a_variable_reported(self, bad_pivot):
+        # (-2) does follow from clauses 2 and 3 on -3, so only the pivot is
+        # wrong; the checker must report it rather than raise.
+        f = make_base_formula()
+        g = init_refutation(f)
+        g.nodes[5] = ProofNode(5, Clause([-2]), left=2, right=3, pivot=bad_pivot)
+        g.nodes[6] = ProofNode(6, Clause([-2]), left=5, right=5, pivot=3)
+        report = check_refutation(g, f)
+        assert not report.valid
+        assert "node 5: pivot %r is not a positive variable" % (bad_pivot,) in report.problems
+
+
+class TestProofNode:
+    def test_fields_equality_and_immutability(self):
+        source = ProofNode(1, Clause([1, 2]), source_index=1)
+        resolvent = ProofNode(5, Clause([-2]), 2, 3, 3)
+        assert source.is_source and not resolvent.is_source
+        assert (resolvent.left, resolvent.right, resolvent.pivot) == (2, 3, 3)
+        assert resolvent.source_index is None
+        assert resolvent == ProofNode(5, Clause([-2]), left=2, right=3, pivot=3)
+        assert resolvent != ProofNode(5, Clause([-2]), left=3, right=2, pivot=3)
+        with pytest.raises(AttributeError):
+            resolvent.pivot = 2
+
 
 class TestTraceFormat:
     def test_export_exact_text(self):
@@ -252,6 +277,29 @@ class TestTraceFormat:
     def test_errors_carry_line_numbers(self):
         with pytest.raises(ValueError, match="line 3"):
             parse_trace("p trace\no 1 1 2 0\nq 0\n", make_base_formula())
+
+    @pytest.mark.parametrize(
+        "record,fragment",
+        [
+            ("o 1 1 0 2 0", "line 4: literal must be a nonzero integer, got 0"),
+            ("r 5 3 2 3 -2 0 0", "line 4: literal must be a nonzero integer, got 0"),
+            ("r 5 2 2 3 -2 0", "line 4: pivot 2 does not occur with opposite polarities"),
+            ("r 5 -3 2 3 -2 0", "line 4: pivot must be a positive variable, got -3"),
+            ("r 5 0 2 3 -2 0", "line 4: pivot must be a positive variable, got 0"),
+            ("r 3 3 2 3 -2 0", "line 4: node id 3 already used"),
+            ("r 1 3 2 3 -2 0", "line 4: resolvent id must exceed its premise ids"),
+        ],
+    )
+    def test_every_rejection_names_its_line(self, record, fragment):
+        text = "p trace\no 2 -2 3 0\no 3 -2 -3 0\n%s\n" % record
+        with pytest.raises(ValueError) as info:
+            parse_trace(text, make_base_formula())
+        assert str(info.value).startswith(fragment)
+
+    def test_tautological_resolvent_names_its_line(self):
+        f = Formula(2, [(1, 2), (-1, -2)])
+        with pytest.raises(ValueError, match=r"^line 4: resolvent of 1 and 2 on 1 is tautological"):
+            parse_trace("p trace\no 1 1 2 0\no 2 -1 -2 0\nr 3 1 1 2 0\n", f)
 
 
 class TestDotExport:
