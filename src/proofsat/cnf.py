@@ -7,9 +7,9 @@ by 1-based clause ids.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import neg
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Variable = int
 Literal = int
@@ -33,7 +33,7 @@ def _ordered(lits: Iterable[Literal]) -> Tuple[Literal, ...]:
     return tuple(sorted(sorted(lits, reverse=True), key=abs))
 
 
-def _tautological(lits: FrozenSet[Literal]) -> bool:
+def _tautological(lits: AbstractSet[Literal]) -> bool:
     """True when the set holds some literal together with its negation."""
     return not lits.isdisjoint(map(neg, lits))
 
@@ -43,25 +43,24 @@ class Clause:
 
     Duplicate literals collapse; iteration is sorted by variable index with
     the positive literal first, so repr/trace output is deterministic.
+    Equality, hashing and membership work on that sorted tuple.
     """
 
-    __slots__ = ("_lits", "_set")
+    __slots__ = ("_lits",)
 
     def __init__(self, literals: Iterable[Literal]):
         lits = set()
         for lit in literals:
-            if not isinstance(lit, int) or lit == 0:
+            if isinstance(lit, bool) or not isinstance(lit, int) or lit == 0:
                 raise ValueError("literal must be a nonzero integer, got %r" % (lit,))
             lits.add(lit)
-        self._set = frozenset(lits)
         self._lits = _ordered(lits)
 
     @classmethod
-    def _trusted(cls, lits: FrozenSet[Literal]) -> "Clause":
-        """The clause over ``lits``, a frozenset already known to hold only
+    def _trusted(cls, lits: Iterable[Literal]) -> "Clause":
+        """The clause over ``lits``, distinct literals already known to be
         nonzero ints, built without checking each literal again."""
         clause = object.__new__(cls)
-        clause._set = lits
         clause._lits = _ordered(lits)
         return clause
 
@@ -71,13 +70,13 @@ class Clause:
 
     @property
     def is_tautology(self) -> bool:
-        return _tautological(self._set)
+        return _tautological(set(self._lits))
 
     def variables(self) -> Tuple[Variable, ...]:
         return tuple(sorted({abs(lit) for lit in self._lits}))
 
     def __contains__(self, lit: Literal) -> bool:
-        return lit in self._set
+        return lit in self._lits
 
     def __iter__(self) -> Iterator[Literal]:
         return iter(self._lits)
@@ -88,10 +87,10 @@ class Clause:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Clause):
             return NotImplemented
-        return self._set == other._set
+        return self._lits == other._lits
 
     def __hash__(self) -> int:
-        return hash(self._set)
+        return hash(self._lits)
 
     def __repr__(self) -> str:
         return "Clause(%s)" % (" ".join(str(l) for l in self._lits) or "empty")
@@ -302,17 +301,17 @@ def parse_dimacs(text: str) -> Formula:
             if lit == 0:
                 if not current:
                     raise ValueError("line %d: empty clause" % line_no)
-                clause = Clause._trusted(frozenset(current))  # parsed, nonzero
+                lits = set(current)
                 current = []
                 seen_clauses += 1
                 if seen_clauses > num_clauses:
                     raise ValueError(
                         "more clauses than the %d declared" % num_clauses
                     )
-                if clause.is_tautology:
+                if _tautological(lits):
                     formula.tautologies_dropped += 1
                 else:
-                    formula.add_clause(clause)
+                    formula.add_clause(Clause._trusted(lits))  # parsed, nonzero
             else:
                 if abs(lit) > num_vars:
                     raise ValueError(

@@ -27,7 +27,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .cnf import Clause, Formula, Literal, Variable
 from .proofs import RefutationGraph, check_refutation, init_refutation
@@ -252,16 +252,11 @@ class Solver:
         self.clause_len: List[int] = [len(lits) for lits in self.clause_lits]
         self.sat_count: List[int] = [0] * len(self.clause_lits)
         self.false_count: List[int] = [0] * len(self.clause_lits)
-        # occ_pos[v] / occ_neg[v]: indices of the clauses holding v / -v.
-        occ_pos: List[List[int]] = [[] for _ in range(self.n + 1)]
-        occ_neg: List[List[int]] = [[] for _ in range(self.n + 1)]
-        for i, lits in enumerate(self.clause_lits):
-            for lit in lits:
-                if lit > 0:
-                    occ_pos[lit].append(i)
-                else:
-                    occ_neg[-lit].append(i)
-        self.occ_pos, self.occ_neg = occ_pos, occ_neg
+        # occ_pos[v] / occ_neg[v]: indices of the clauses holding v / -v; a
+        # literal that no clause holds shares the empty tuple, not a list.
+        self.occ_pos: List[Sequence[int]] = [()] * (self.n + 1)
+        self.occ_neg: List[Sequence[int]] = [()] * (self.n + 1)
+        self._index(0)
         self.falsified: set = set()  # clause ids
         self.num_sat = 0
         # Candidates for bcp: a min-heap of clause indices with lazy
@@ -480,10 +475,10 @@ class Solver:
                 return (v, False, False)
         raise RuntimeError("no unassigned variable to decide")
 
-    def _blocking(self, np_set: Optional[FrozenSet[Literal]]) -> Optional[int]:
+    def _blocking(self, np_lits: Optional[Tuple[Literal, ...]]) -> Optional[int]:
         """The clause falsified by the current prefix, if any: the pending
         backtracking clause takes priority, then the lowest clause id."""
-        if np_set is not None and all(self._lit_false(l) for l in np_set):
+        if np_lits is not None and all(self._lit_false(l) for l in np_lits):
             return _NP_BLOCK
         if self.falsified:
             return min(self.falsified)
@@ -546,7 +541,6 @@ class Solver:
         cfg = self.config
         np_node = 0
         np_lits: Optional[Tuple[Literal, ...]] = None
-        np_set: Optional[FrozenSet[Literal]] = None
         np_clause_id: Optional[int] = None  # instance id when np is an instance clause
         while True:
             if self.d == self.n:
@@ -556,7 +550,7 @@ class Solver:
                 # decide.
                 yield from self._finish_sat()
                 return
-            np_node, np_lits, np_set, np_clause_id = 0, None, None, None
+            np_node, np_lits, np_clause_id = 0, None, None
             yield from self._decide()
             if self.num_sat == len(self.clause_lits):
                 yield from self._finish_sat()
@@ -564,7 +558,7 @@ class Solver:
             # conflict-analysis loop: pin a parent, flip, then either return
             # to new decisions or backtrack on an instance conflict
             while True:
-                blocking = self._blocking(np_set)
+                blocking = self._blocking(np_lits)
                 if blocking is None:
                     break
                 if blocking == _NP_BLOCK:
@@ -597,10 +591,9 @@ class Solver:
                     self.stats.conflicts += 1
                     np_node = self.clause_node[r - 1]
                     np_lits = self.clause_lits[r - 1]
-                    np_set = self.formula.clauses[r - 1]._set
                     np_clause_id = r
-                    state = yield from self._backtrack(np_node, np_lits, np_set, np_clause_id)
-                    np_node, np_lits, np_set, np_clause_id, unsat = state
+                    state = yield from self._backtrack(np_node, np_lits, np_clause_id)
+                    np_node, np_lits, np_clause_id, unsat = state
                     if unsat:
                         yield from self._finish_unsat(np_node)
                         return
@@ -608,11 +601,7 @@ class Solver:
                 # analysis loop condition no longer holds and search resumes
 
     def _backtrack(
-        self,
-        np_node: int,
-        np_lits: Tuple[Literal, ...],
-        np_set: FrozenSet[Literal],
-        np_clause_id: Optional[int],
+        self, np_node: int, np_lits: Tuple[Literal, ...], np_clause_id: Optional[int]
     ):
         cfg = self.config
         while self.d > 0:
@@ -621,7 +610,7 @@ class Solver:
             lit = -var if self.trail_val[d] else var  # literal a flip would satisfy
             if cfg.debug_checks:
                 self._check_backtracking_invariant(np_node, np_lits, lit)
-            in_np = lit in np_set
+            in_np = lit in np_lits
             flipped = self.trail_flipped[d]
             if not flipped and in_np:
                 break
@@ -634,8 +623,7 @@ class Solver:
                         self.consumed.add(premise)
                 self.stats.nodes_added += 1
                 np_node = new_id
-                resolvent = self.graph.nodes[new_id].clause
-                np_lits, np_set = resolvent.literals, resolvent._set
+                np_lits = self.graph.nodes[new_id].clause.literals
                 np_clause_id = None
                 yield BacktrackResolve(new_id)
             elif flipped:
@@ -649,7 +637,7 @@ class Solver:
                 yield BacktrackSkipLeft(d)
             self._pop()
             if cfg.cdb_1uip:
-                sub = self._cdb_try(np_node, np_set)
+                sub = self._cdb_try(np_node, np_lits)
                 if sub is not None:
                     self.stats.cdb_substitutions += 1
                     yield CdbSubstitute(sub[0], sub[1])
@@ -659,7 +647,7 @@ class Solver:
                 np_clause_id = recorded
                 self.stats.recorded_clauses += 1
                 yield Record(recorded)
-        return (np_node, np_lits, np_set, np_clause_id, self.d == 0)
+        return (np_node, np_lits, np_clause_id, self.d == 0)
 
     # -- feature hooks ----------------------------------------------------
 
@@ -709,7 +697,7 @@ class Solver:
         return (d, seat)
 
     def _cdb_try(
-        self, np_node: int, np_set: FrozenSet[Literal]
+        self, np_node: int, np_lits: Tuple[Literal, ...]
     ) -> Optional[Tuple[int, Variable]]:
         """After a pop: when the current level is flipped, its flip literal
         sits in the backtracking clause, and every other literal of that
@@ -723,14 +711,14 @@ class Solver:
         var = self.trail_var[d]
         value = self.trail_val[d]
         lit = -var if value else var
-        if lit not in np_set:
+        if lit not in np_lits:
             return None
         g = d - 1
         while g >= 1 and self.trail_flipped[g]:
             g -= 1
         if g < 1:
             return None
-        for q in np_set:
+        for q in np_lits:
             if q == lit:
                 continue
             q_level = self.level_of[abs(q)]
@@ -762,10 +750,10 @@ class Solver:
         self.clause_lits.append(tuple(np_lits))
         self.clause_len.append(len(np_lits))
         self.unit_queued.append(0)
+        self._index(i)
         sat = false = 0
         for lit in np_lits:
             var = abs(lit)
-            (self.occ_pos if lit > 0 else self.occ_neg)[var].append(i)
             value = self.val[var]
             if value is None:
                 continue
@@ -785,6 +773,20 @@ class Solver:
         self.recorded_nodes.add(np_node)
         self.formula.add_clause(clause)
         return cid
+
+    def _index(self, start: int) -> None:
+        """Index clauses start.. by literal, creating each list on first use."""
+        occ_pos, occ_neg = self.occ_pos, self.occ_neg
+        for i in range(start, len(self.clause_lits)):
+            for lit in self.clause_lits[i]:
+                if lit > 0:
+                    occ, var = occ_pos, lit
+                else:
+                    occ, var = occ_neg, -lit
+                if occ[var]:
+                    occ[var].append(i)
+                else:
+                    occ[var] = [i]
 
     # -- pruning accounting ----------------------------------------------
 

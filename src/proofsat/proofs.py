@@ -17,7 +17,7 @@ an 'r' record with an empty literal list (the empty clause).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set
 
 from .cnf import Clause, Formula, Literal, Variable, _tautological
 
@@ -59,22 +59,20 @@ def pivot(d1: Clause, d2: Clause) -> Optional[Variable]:
     return None
 
 
-def _resolvent_set(plus: FrozenSet[Literal], minus: FrozenSet[Literal], v: Variable) -> FrozenSet[Literal]:
+def _resolvent_set(plus: Sequence[Literal], minus: Sequence[Literal], v: Variable) -> Set[Literal]:
     """The resolution kernel: the literal set of the resolvent of ``plus``
     (holding +v) and ``minus`` (holding -v) on v, that is
     ``(plus - {v}) | (minus - {-v})``.  The union drops v and -v unless the
-    other premise holds them as well.  Copying the set into a frozenset
-    sizes its hash table to the resolvent: on random 3-CNF that takes about
-    15% less memory than the ``|`` of the two differences."""
+    other premise holds them as well.  The set itself is never stored."""
     lits = {*plus, *minus}
     if v not in minus:
         lits.remove(v)
     if -v not in plus:
         lits.remove(-v)
-    return frozenset(lits)
+    return lits
 
 
-def _oriented_set(left: FrozenSet[Literal], right: FrozenSet[Literal], v: Variable) -> FrozenSet[Literal]:
+def _oriented_set(left: Sequence[Literal], right: Sequence[Literal], v: Variable) -> Set[Literal]:
     """The kernel applied with whichever premise holds +v as the positive
     side."""
     if v in left and -v in right:
@@ -86,18 +84,19 @@ def _oriented_set(left: FrozenSet[Literal], right: FrozenSet[Literal], v: Variab
     )
 
 
+def _same_literals(lits: Set[Literal], clause: Clause) -> bool:
+    """True when a set of literals holds exactly the clause's literals."""
+    return len(lits) == len(clause._lits) and lits.issuperset(clause._lits)
+
+
 def resolve(d1: Clause, d2: Clause, v: Variable) -> Clause:
     """Resolvent of d1 and d2 on pivot v, requiring +v in d1 and -v in d2."""
-    if v not in d1._set or -v not in d2._set:
+    if v not in d1._lits or -v not in d2._lits:
         raise ValueError(
             "pivot %d must occur positively in the first clause and negatively"
             " in the second" % v
         )
-    return Clause._trusted(_resolvent_set(d1._set, d2._set, v))
-
-
-def _oriented_resolvent(left: Clause, right: Clause, v: Variable) -> Clause:
-    return Clause._trusted(_oriented_set(left._set, right._set, v))
+    return Clause._trusted(_resolvent_set(d1._lits, d2._lits, v))
 
 
 class RefutationGraph:
@@ -148,8 +147,8 @@ class RefutationGraph:
             raise KeyError("no node with id %r" % (exc.args[0],)) from None
         if pivot_var < 1:
             raise ValueError("pivot must be a positive variable, got %d" % pivot_var)
-        clause = _oriented_resolvent(left.clause, right.clause, pivot_var)
-        if clause.is_tautology:
+        lits = _oriented_set(left.clause._lits, right.clause._lits, pivot_var)
+        if _tautological(lits):
             raise ValueError(
                 "resolvent of %d and %d on %d is tautological"
                 % (left_id, right_id, pivot_var)
@@ -157,7 +156,7 @@ class RefutationGraph:
         if node_id is not None and node_id <= max(left_id, right_id):
             raise ValueError("resolvent id must exceed its premise ids")
         nid = self._claim_id(node_id)
-        self.nodes[nid] = ProofNode(nid, clause, left_id, right_id, pivot_var)
+        self.nodes[nid] = ProofNode(nid, Clause._trusted(lits), left_id, right_id, pivot_var)
         return nid
 
     # -- access -----------------------------------------------------------
@@ -276,7 +275,7 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
             continue
         try:
             derived = _oriented_set(
-                nodes[node.left].clause._set, nodes[node.right].clause._set, node.pivot
+                nodes[node.left].clause._lits, nodes[node.right].clause._lits, node.pivot
             )
         except ValueError as exc:
             problems.append("node %d: %s" % (nid, exc))
@@ -284,7 +283,7 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
         if _tautological(derived):
             problems.append("node %d: tautological resolvent" % nid)
             continue
-        if derived != node.clause._set:
+        if not _same_literals(derived, node.clause):
             problems.append(
                 "node %d: stored clause differs from recomputed resolvent" % nid
             )
@@ -392,7 +391,7 @@ def parse_trace(text: str, formula: Formula) -> RefutationGraph:
             if len(numbers) == 1:
                 raise ValueError("line %d: source clause is empty" % line_no)
             nid = numbers[0]
-            lits = frozenset(numbers[1:])
+            lits = set(numbers[1:])
         else:
             if len(numbers) < 4:
                 raise ValueError(
@@ -400,7 +399,7 @@ def parse_trace(text: str, formula: Formula) -> RefutationGraph:
                     % line_no
                 )
             nid, pivot_var, left_id, right_id = numbers[:4]
-            lits = frozenset(numbers[4:])
+            lits = set(numbers[4:])
         if 0 in lits:
             raise ValueError(
                 "line %d: literal must be a nonzero integer, got 0" % line_no
@@ -414,7 +413,7 @@ def parse_trace(text: str, formula: Formula) -> RefutationGraph:
                 raise ValueError(
                     "line %d: no formula clause with id %d" % (line_no, nid)
                 )
-            if expected._set != lits:
+            if not _same_literals(lits, expected):
                 raise ValueError(
                     "line %d: literals differ from formula clause %d" % (line_no, nid)
                 )
@@ -432,7 +431,7 @@ def parse_trace(text: str, formula: Formula) -> RefutationGraph:
                 new_id = graph.add_node(left_id, right_id, pivot_var, node_id=nid)
             except ValueError as exc:
                 raise ValueError("line %d: %s" % (line_no, exc)) from None
-            if nodes[new_id].clause._set != lits:
+            if not _same_literals(lits, nodes[new_id].clause):
                 raise ValueError(
                     "line %d: literals differ from recomputed resolvent" % line_no
                 )

@@ -32,6 +32,12 @@ class TestClause:
         with pytest.raises(ValueError):
             Clause(["1"])
 
+    def test_bool_literal_rejected(self):
+        # bool is an int subclass; accepting it would print "True" in
+        # DIMACS and trace output.
+        with pytest.raises(ValueError, match="nonzero integer, got True"):
+            Clause([True, -2])
+
     def test_tautology_detection(self):
         assert Clause([1, -1, 2]).is_tautology
         assert not Clause([1, 2]).is_tautology

@@ -1,17 +1,18 @@
 """The resolution kernel against the list-based formulas it replaced.
 
-``Clause`` orders its literals with two builtin sorts, and ``resolve`` /
-``_oriented_resolvent`` compute resolvents on literal sets.  The reference
-versions below are the earlier ones: a sort keyed by ``_literal_key`` and
-resolvents built from literal lists.  Literals are drawn from few variables
-so that tautological premises, premises holding both v and -v, and
-duplicate literals come up often."""
+``Clause`` keeps only its literals, ordered with two builtin sorts, and
+``resolve`` / ``_oriented_set`` compute resolvents on literal sets.  The
+reference versions below are the earlier ones: a sort keyed by
+``_literal_key`` and resolvents built from literal lists; ``frozenset`` is
+the reference for clause equality, hashing and membership.  Literals are
+drawn from few variables so that tautological premises, premises holding
+both v and -v, and duplicate literals come up often."""
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from proofsat import Clause, resolve
-from proofsat.proofs import _oriented_resolvent
+from proofsat.proofs import _oriented_set
 
 VARS = 5
 
@@ -51,6 +52,20 @@ def reference_oriented(left, right, v):
     return None
 
 
+def _oriented_resolvent(left, right, v):
+    """The resolvent of two clauses on v, taking either premise order."""
+    return Clause._trusted(_oriented_set(left.literals, right.literals, v))
+
+
+def rearranged(lits):
+    """lits permuted, with some of its literals repeated."""
+    if not lits:
+        return st.just([])
+    return st.lists(st.sampled_from(lits), max_size=4).flatmap(
+        lambda extra: st.permutations(lits + extra)
+    )
+
+
 def outcome(fn, *args):
     """The literal tuple fn returns, or None where it raises ValueError."""
     try:
@@ -65,6 +80,24 @@ def test_clause_order_matches_the_keyed_sort(lits):
     clause = Clause(lits)
     assert clause.literals == reference_order(lits)
     assert clause.is_tautology == any(-lit in lits for lit in lits)
+
+
+@kernel_settings
+@given(literal_lists.flatmap(lambda a: st.tuples(st.just(a), rearranged(a))), literal_lists)
+def test_clause_agrees_with_frozenset_semantics(pair, other):
+    a, same = pair
+    for xs, ys in ((a, same), (a, other)):
+        cx, cy = Clause(xs), Clause(ys)
+        sx, sy = frozenset(xs), frozenset(ys)
+        assert (cx == cy) == (sx == sy)
+        if sx == sy:
+            assert hash(cx) == hash(cy)
+        assert (cy in {cx}) == (sx == sy)
+    clause, lits = Clause(a), frozenset(a)
+    assert len(clause) == len(lits)
+    for lit in range(-VARS - 1, VARS + 2):
+        assert (lit in clause) == (lit in lits)
+    assert clause.is_tautology == (not lits.isdisjoint(-lit for lit in lits))
 
 
 @kernel_settings

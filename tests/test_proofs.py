@@ -244,6 +244,20 @@ class TestTraceFormat:
             check_refutation(g, f)
         )
 
+    def test_records_are_literal_sets(self):
+        # Literals out of canonical order or repeated still name the same
+        # clause, in 'o' and 'r' records alike.
+        f = Formula(3, [(1, 2, 3), (-1, 2, 3), (-2,), (-3,)])
+        text = (
+            "p trace\no 1 3 1 2 1 0\no 2 -1 2 3 0\no 3 -2 0\no 4 -3 -3 0\n"
+            "r 5 1 1 2 3 2 3 0\nr 6 2 5 3 3 0\nr 7 3 6 4 0\n"
+        )
+        g = parse_trace(text, f)
+        report = check_refutation(g, f)
+        assert report.valid and report.complete
+        assert g.nodes[5].clause.literals == (2, 3)
+        assert export_trace(g).splitlines()[1] == "o 1 1 2 3 0"
+
     def test_comments_and_blank_lines_ignored(self):
         f = Formula(1, [(1,), (-1,)])
         text = "c note\np trace\n\no 1 1 0\nc mid\no 2 -1 0\nr 3 1 1 2 0\n"
