@@ -12,9 +12,6 @@ package.
 from .cnf import (
     Clause,
     Formula,
-    PartialAssignment,
-    evaluate_clause,
-    evaluate_formula,
     parse_dimacs,
     write_dimacs,
 )
@@ -43,7 +40,6 @@ from .engine import (
     verify_model,
 )
 from .families import (
-    FamilySpec,
     gen_bcp_separation,
     gen_contradiction,
     gen_random_kcnf,
@@ -58,7 +54,6 @@ from .proofs import (
     export_trace,
     init_refutation,
     parse_trace,
-    pivot,
     resolve,
 )
 
@@ -74,13 +69,11 @@ __all__ = [
     "Clause",
     "ConflictFound",
     "Decide",
-    "FamilySpec",
     "Flip",
     "Formula",
     "InvariantViolation",
     "MAX_ORACLE_VARS",
     "NcbJump",
-    "PartialAssignment",
     "ProofNode",
     "Record",
     "RefutationGraph",
@@ -95,8 +88,6 @@ __all__ = [
     "VERDICT_UNSAT",
     "brute_force_sat",
     "check_refutation",
-    "evaluate_clause",
-    "evaluate_formula",
     "export_dot",
     "export_trace",
     "gen_bcp_separation",
@@ -105,7 +96,6 @@ __all__ = [
     "init_refutation",
     "parse_dimacs",
     "parse_trace",
-    "pivot",
     "resolve",
     "solve",
     "verify_model",

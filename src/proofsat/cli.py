@@ -10,7 +10,7 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, TextIO, Tuple
 
 from .cnf import Formula, parse_dimacs, write_dimacs
@@ -58,22 +58,36 @@ class BenchRow:
     wall_ms: float
 
 
+_COLUMNS = tuple(f.name for f in fields(BenchRow))
+# Wall time stays out of the CSV so identical seeds reproduce the file byte
+# for byte.
+_CSV_COLUMNS = tuple(col for col in _COLUMNS if col != "wall_ms")
+
+
 def _fail(message: str) -> int:
     print("error: %s" % message, file=sys.stderr)
     return EXIT_USAGE
 
 
-def _read_formula(path: str) -> Formula:
+def _read_text(path: str) -> str:
+    """The text of a file, or of stdin for "-".  Input is ASCII: a byte
+    outside it raises ValueError, from a file or from stdin alike."""
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="ascii") as handle:
             text = handle.read()
-    return parse_dimacs(text)
+    if not text.isascii():
+        raise ValueError("input is not ASCII")
+    return text
+
+
+def _read_formula(path: str) -> Formula:
+    return parse_dimacs(_read_text(path))
 
 
 def _config_label(config: SolverConfig) -> str:
-    label = {MODE_SSS: "sss", MODE_DLL: "dll_strict", MODE_TAE: "tae"}[config.mode]
+    label = config.mode
     for name, tag in (
         ("bcp", "bcp"),
         ("ncb", "ncb"),
@@ -176,16 +190,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail("cannot parse %s: %s" % (args.cnf, exc))
     try:
-        if args.trace == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.trace, "r", encoding="ascii") as handle:
-                text = handle.read()
+        graph = parse_trace(_read_text(args.trace), formula)
     except OSError as exc:
         return _fail(str(exc))
-    try:
-        graph = parse_trace(text, formula)
-    except ValueError as exc:
+    except ValueError as exc:  # a UnicodeDecodeError included
         print("c trace rejected: %s" % exc)
         print("s PROOF FAIL")
         return EXIT_CHECK_FAIL
@@ -284,30 +292,14 @@ def _bench_random(count: int) -> Tuple[List[BenchRow], int]:
 
 
 def _print_rows(rows: Sequence[BenchRow], out: TextIO) -> None:
-    header = (
-        "family",
-        "config",
-        "verdict",
-        "decisions",
-        "flips",
-        "conflicts",
-        "final_proof_size",
-        "wall_ms",
-    )
-    table = [header] + [
-        (
-            row.family,
-            row.config,
-            row.verdict,
-            str(row.decisions),
-            str(row.flips),
-            str(row.conflicts),
-            str(row.final_proof_size),
-            "%.3f" % row.wall_ms,
+    table = [_COLUMNS] + [
+        tuple(
+            "%.3f" % row.wall_ms if col == "wall_ms" else str(getattr(row, col))
+            for col in _COLUMNS
         )
         for row in rows
     ]
-    widths = [max(len(line[col]) for line in table) for col in range(len(header))]
+    widths = [max(len(line[col]) for line in table) for col in range(len(_COLUMNS))]
     for line in table:
         out.write(
             "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
@@ -316,36 +308,15 @@ def _print_rows(rows: Sequence[BenchRow], out: TextIO) -> None:
 
 
 def _write_csv(rows: Sequence[BenchRow], path: str) -> None:
-    # Wall time stays out of the CSV so identical seeds reproduce the file
-    # byte for byte.
     with open(path, "w", encoding="ascii", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "family",
-                "config",
-                "verdict",
-                "decisions",
-                "flips",
-                "conflicts",
-                "final_proof_size",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.family,
-                    row.config,
-                    row.verdict,
-                    row.decisions,
-                    row.flips,
-                    row.conflicts,
-                    row.final_proof_size,
-                ]
-            )
+        writer.writerow(_CSV_COLUMNS)
+        writer.writerows([getattr(row, col) for col in _CSV_COLUMNS] for row in rows)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        return _fail("--count must be non-negative")
     rows: List[BenchRow] = []
     disagreements = 0
     if args.suite in ("contradiction", "all"):

@@ -1,4 +1,4 @@
-"""CNF formulas, DIMACS I/O, and evaluation under partial assignments.
+"""CNF formulas and DIMACS I/O.
 
 Literals are DIMACS-style signed integers: +v is the positive literal of
 variable v, -v its negation.  Clause objects are immutable sets of literals
@@ -7,24 +7,11 @@ by 1-based clause ids.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import neg
-from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Variable = int
 Literal = int
-
-# Clause evaluation statuses.
-SATISFIED = "satisfied"
-FALSIFIED = "falsified"
-UNIT = "unit"
-UNRESOLVED = "unresolved"
-
-# Formula evaluation statuses.
-FORMULA_SATISFIED = "satisfied"
-FORMULA_CONFLICT = "conflict"
-FORMULA_UNDETERMINED = "undetermined"
-
 
 def _ordered(lits: Iterable[Literal]) -> Tuple[Literal, ...]:
     """Literals sorted by variable index, the positive literal first: the
@@ -149,112 +136,6 @@ class Formula:
 
     def __repr__(self) -> str:
         return "Formula(num_vars=%d, clauses=%d)" % (self.num_vars, len(self.clauses))
-
-
-class PartialAssignment:
-    """A partial mapping from variables to truth values."""
-
-    def __init__(self, values: Optional[Dict[Variable, bool]] = None):
-        self.values: Dict[Variable, bool] = dict(values) if values else {}
-
-    @classmethod
-    def from_literals(cls, literals: Iterable[Literal]) -> "PartialAssignment":
-        asg = cls()
-        for lit in literals:
-            asg.assign(abs(lit), lit > 0)
-        return asg
-
-    def assign(self, var: Variable, value: bool) -> None:
-        if var in self.values and self.values[var] != value:
-            raise ValueError("variable %d already assigned the opposite value" % var)
-        self.values[var] = value
-
-    def unassign(self, var: Variable) -> None:
-        del self.values[var]
-
-    def value(self, var: Variable) -> Optional[bool]:
-        return self.values.get(var)
-
-    def lit_value(self, lit: Literal) -> Optional[bool]:
-        v = self.values.get(abs(lit))
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
-    def __contains__(self, var: Variable) -> bool:
-        return var in self.values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            "%d=%d" % (v, int(b)) for v, b in sorted(self.values.items())
-        )
-        return "PartialAssignment(%s)" % inner
-
-
-@dataclass(frozen=True)
-class ClauseEval:
-    """Result of evaluating one clause: a status, plus the sole unassigned
-    literal when the status is "unit"."""
-
-    status: str
-    unit: Optional[Literal] = None
-
-
-@dataclass(frozen=True)
-class FormulaEval:
-    """Result of evaluating a formula (plus optional extra clauses).
-
-    conflict_clause carries the 1-based id of a falsified formula clause;
-    conflict_extra carries the 0-based index into `extra` instead when an
-    extra clause is the falsified one.  Extra clauses take priority over
-    formula clauses when both are falsified; among formula clauses the
-    lowest id wins.
-    """
-
-    status: str
-    conflict_clause: Optional[int] = None
-    conflict_extra: Optional[int] = None
-
-
-def evaluate_clause(clause: Clause, assignment: PartialAssignment) -> ClauseEval:
-    unassigned: Optional[Literal] = None
-    unassigned_count = 0
-    for lit in clause:
-        v = assignment.lit_value(lit)
-        if v is True:
-            return ClauseEval(SATISFIED)
-        if v is None:
-            unassigned_count += 1
-            if unassigned is None:
-                unassigned = lit
-    if unassigned_count == 0:
-        return ClauseEval(FALSIFIED)
-    if unassigned_count == 1:
-        return ClauseEval(UNIT, unassigned)
-    return ClauseEval(UNRESOLVED)
-
-
-def evaluate_formula(
-    formula: Formula,
-    assignment: PartialAssignment,
-    extra: Sequence[Clause] = (),
-) -> FormulaEval:
-    for i, clause in enumerate(extra):
-        if evaluate_clause(clause, assignment).status == FALSIFIED:
-            return FormulaEval(FORMULA_CONFLICT, conflict_extra=i)
-    all_satisfied = True
-    for cid in formula.ids():
-        status = evaluate_clause(formula.clause(cid), assignment).status
-        if status == FALSIFIED:
-            return FormulaEval(FORMULA_CONFLICT, conflict_clause=cid)
-        if status != SATISFIED:
-            all_satisfied = False
-    if all_satisfied:
-        return FormulaEval(FORMULA_SATISFIED)
-    return FormulaEval(FORMULA_UNDETERMINED)
 
 
 def parse_dimacs(text: str) -> Formula:

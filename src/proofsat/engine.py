@@ -1,21 +1,22 @@
 """Backtracking search engine with on-the-fly resolution bookkeeping.
 
-Three modes share one trail:
+Three modes share one trail and two drivers:
 
-* ``sss`` (default): a backtracking search that tags every flipped decision
-  with a parent clause and resolves those parents together while
-  backtracking, so an unsatisfiable run terminates holding a machine
-  checkable refutation of the input.  Four optional features: ``bcp``
-  (unit-driven decisions), ``ncb`` (re-seating a flip at the lowest level
-  where its parent clause stays viable), ``cdb_1uip`` (substituting the
-  unique block variable of the backtracking clause for the block's
+* ``sss`` (default, its own driver): a backtracking search that tags every
+  flipped decision with a parent clause and resolves those parents
+  together while backtracking, so an unsatisfiable run terminates holding
+  a machine checkable refutation of the input.  Four optional features:
+  ``bcp`` (unit-driven decisions), ``ncb`` (re-seating a flip at the lowest
+  level where its parent clause stays viable), ``cdb_1uip`` (substituting
+  the unique block variable of the backtracking clause for the block's
   decision), and ``ccr`` (recording backtracking clauses into the
   instance).
-* ``dll_strict``: plain chronological backtracking with per-assignment
-  clause checking and no proof bookkeeping; ``bcp`` is the only feature
-  it supports.
-* ``tae``: depth-first enumeration of total assignments, evaluating
-  clauses only when every variable is assigned; supports no features.
+* ``dll_strict`` and ``tae`` share one chronological driver with no proof
+  bookkeeping: a conflict flips the deepest unflipped decision.
+  ``dll_strict`` tests the clause counters after every decision and
+  supports ``bcp`` alone; ``tae`` enumerates total assignments depth
+  first, testing the counters only once every variable is assigned, and
+  supports no features.
 
 Verdicts agree across modes; only the work done, and the proof artifacts,
 differ.  Decisions count fresh assignments (unit-driven ones included);
@@ -303,11 +304,8 @@ class Solver:
             else None
         )
         # The run's events; the generator starts at the first step.
-        self._events: Iterator[StepEvent] = {
-            MODE_SSS: self._run_sss,
-            MODE_DLL: self._run_dll,
-            MODE_TAE: self._run_tae,
-        }[self.config.mode]()
+        run = self._run_sss if self.config.mode == MODE_SSS else self._run_chronological
+        self._events: Iterator[StepEvent] = run()
         self._collected: List[StepEvent] = []
 
     # -- public API -------------------------------------------------------
@@ -497,34 +495,21 @@ class Solver:
         else:
             yield Decide(lit)
 
-    def _run_tae(self) -> Iterator[StepEvent]:
-        while True:
-            if self.d == self.n:
-                if not self.falsified:
-                    yield from self._finish_sat()
-                    return
-                yield ConflictFound(min(self.falsified))
-                self.stats.conflicts += 1
-                while self.d > 0 and self.trail_flipped[self.d]:
-                    yield BacktrackSkipRight(self.d)
-                    self._pop()
-                if self.d == 0:
-                    yield from self._finish_unsat(None)
-                    return
-                self._flip_top()
-                self.stats.flips += 1
-                yield Flip(self.d)
-            else:
-                yield from self._decide()
-
-    def _run_dll(self) -> Iterator[StepEvent]:
+    def _run_chronological(self) -> Iterator[StepEvent]:
+        """tae and dll_strict: decide, and while a clause is falsified,
+        flip the deepest unflipped level after popping the flipped ones
+        above it.  dll_strict tests the clauses after every decision, tae
+        only at total assignments (d == n), where every clause is either
+        satisfied or falsified, so the SAT test and the conflict test
+        agree."""
+        leaves_only = self.config.mode == MODE_TAE
         total = len(self.clause_lits)
         while True:
-            if self.num_sat == total:
+            if self.num_sat == total and (not leaves_only or self.d == self.n):
                 yield from self._finish_sat()
                 return
             yield from self._decide()
-            while self.falsified:
+            while self.falsified and (not leaves_only or self.d == self.n):
                 yield ConflictFound(min(self.falsified))
                 self.stats.conflicts += 1
                 while self.d > 0 and self.trail_flipped[self.d]:

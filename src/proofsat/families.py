@@ -8,46 +8,9 @@ differential testing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
-from typing import Optional
 
 from .cnf import Formula
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Description of one family instance, as used by the CLI."""
-
-    family: str  # "contradiction" | "bcp_separation" | "random_kcnf"
-    n: Optional[int] = None
-    m: Optional[int] = None
-    k: Optional[int] = None
-    seed: Optional[int] = None
-
-    def build(self) -> Formula:
-        if self.family == "contradiction":
-            assert self.n is not None
-            return gen_contradiction(self.n)
-        if self.family == "bcp_separation":
-            assert self.k is not None
-            return gen_bcp_separation(self.k)
-        if self.family == "random_kcnf":
-            assert None not in (self.n, self.m, self.k, self.seed)
-            return gen_random_kcnf(self.n, self.m, self.k, self.seed)
-        raise ValueError("unknown family %r" % (self.family,))
-
-    def label(self) -> str:
-        if self.family == "contradiction":
-            return "contradiction(n=%d)" % self.n
-        if self.family == "bcp_separation":
-            return "bcp_separation(k=%d)" % self.k
-        return "random_kcnf(n=%d,m=%d,k=%d,seed=%d)" % (
-            self.n,
-            self.m,
-            self.k,
-            self.seed,
-        )
 
 
 def gen_contradiction(n: int) -> Formula:

@@ -48,17 +48,6 @@ class CheckReport:
     problems: List[str] = field(default_factory=list)
 
 
-def pivot(d1: Clause, d2: Clause) -> Optional[Variable]:
-    """The unique clashing variable of two clauses, when resolving on it
-    yields a non-tautological resolvent; None otherwise.  With two or more
-    clashing variables every resolvent is tautological, so None is returned
-    both for no clash and for multiple clashes."""
-    clashes = sorted(abs(lit) for lit in d1 if -lit in d2)
-    if len(clashes) == 1:
-        return clashes[0]
-    return None
-
-
 def _resolvent_set(plus: Sequence[Literal], minus: Sequence[Literal], v: Variable) -> Set[Literal]:
     """The resolution kernel: the literal set of the resolvent of ``plus``
     (holding +v) and ``minus`` (holding -v) on v, that is

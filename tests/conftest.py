@@ -1,6 +1,5 @@
 """Shared fixtures: the four-clause example formula, a hand-built shared-node
 refutation of it, and the seeded random corpus swept once per session."""
-import itertools
 import time
 
 import pytest
@@ -22,7 +21,7 @@ from proofsat import (
     write_dimacs,
 )
 from proofsat import cli as proofsat_cli
-from proofsat.engine import MODE_DLL, MODE_SSS, MODE_TAE
+from proofsat.engine import MODE_DLL, MODE_TAE
 
 
 def make_base_formula() -> Formula:
@@ -58,20 +57,10 @@ def make_shared_node_refutation(formula: Formula) -> RefutationGraph:
 
 CORPUS_SIZE = 500
 
-_SSS_COMBOS = list(itertools.product((False, True), repeat=4))  # bcp,ncb,cdb,ccr
-
 
 def corpus_formula(seed: int) -> Formula:
     n = 4 + seed % 9  # 4..12
     return gen_random_kcnf(n, 4 * n, 3, seed)
-
-
-def _sss_label(bcp, ncb, cdb, ccr):
-    label = "sss"
-    for on, tag in ((bcp, "bcp"), (ncb, "ncb"), (cdb, "cdb"), (ccr, "ccr")):
-        if on:
-            label += "+" + tag
-    return label
 
 
 class SweepRecord(dict):
@@ -92,6 +81,15 @@ def sweep(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("sweep")
     cnf_path = workdir / "formula.cnf"
     trace_path = workdir / "proof.trace"
+    # The 16 sss configurations of the CLI's random sweep, then tae and
+    # dll_strict, labelled as the CLI labels them.
+    configs = [
+        SolverConfig(bcp=bcp, ncb=ncb, cdb_1uip=cdb, ccr=ccr, debug_checks=True)
+        for bcp, ncb, cdb, ccr in proofsat_cli._RANDOM_SWEEP_COMBOS
+    ]
+    configs.append(SolverConfig(mode=MODE_TAE, debug_checks=True))
+    configs.append(SolverConfig(mode=MODE_DLL, debug_checks=True))
+    configs = [(proofsat_cli._config_label(config), config) for config in configs]
     records = []
     violations = []
     start = time.perf_counter()
@@ -99,17 +97,6 @@ def sweep(tmp_path_factory):
         formula = corpus_formula(seed)
         oracle_verdict = "SAT" if brute_force_sat(formula) is not None else "UNSAT"
         cnf_written = False
-        configs = [
-            (
-                _sss_label(bcp, ncb, cdb, ccr),
-                SolverConfig(
-                    bcp=bcp, ncb=ncb, cdb_1uip=cdb, ccr=ccr, debug_checks=True
-                ),
-            )
-            for bcp, ncb, cdb, ccr in _SSS_COMBOS
-        ]
-        configs.append(("tae", SolverConfig(mode=MODE_TAE, debug_checks=True)))
-        configs.append(("dll_strict", SolverConfig(mode=MODE_DLL, debug_checks=True)))
         for label, config in configs:
             record = SweepRecord(
                 seed=seed,

@@ -1,4 +1,6 @@
 """Command-line interface: exit codes, output conventions, file handling."""
+import hashlib
+import io
 import subprocess
 import sys
 
@@ -171,6 +173,23 @@ class TestCheck:
         assert "c trace rejected: line 4: pivot must be a positive variable" in out
         assert "s PROOF FAIL" in out
 
+    @pytest.mark.parametrize("source", ["file", "stdin", "stdin_surrogateescape"])
+    def test_non_ascii_trace_rejected(self, base_cnf, tmp_path, capsys, monkeypatch, source):
+        data = SHARED_TRACE.encode("ascii") + b"\xff\n"
+        if source == "file":
+            trace = tmp_path / "binary.trace"
+            trace.write_bytes(data)
+            arg = str(trace)
+        else:
+            errors = "surrogateescape" if source == "stdin_surrogateescape" else "strict"
+            stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+            monkeypatch.setattr("sys.stdin", stdin)
+            arg = "-"
+        assert main(["check", str(base_cnf), arg]) == 1
+        out = capsys.readouterr().out
+        assert "c trace rejected:" in out
+        assert "s PROOF FAIL" in out
+
     def test_cnf_errors_are_usage_errors(self, tmp_path, capsys):
         trace = tmp_path / "t.trace"
         trace.write_text("p trace\n")
@@ -212,6 +231,7 @@ class TestGen:
             ["gen", "contradiction", "--n", "0"],
             ["gen", "bcp_separation", "--k", "0"],
             ["gen", "random", "--n", "2", "--m", "5", "--k", "3"],
+            ["bench", "random", "--count", "-3"],
         ],
     )
     def test_invalid_parameters(self, args, capsys):
@@ -264,6 +284,10 @@ class TestBench:
         assert lines[0] == "family,config,verdict,decisions,flips,conflicts,final_proof_size"
         assert len(lines) == 1 + 6 + 8 + 2 * 16
         assert "wall" not in lines[0]
+        # Taken while the CSV columns were still spelled out by hand.
+        assert hashlib.sha256(a.read_bytes()).hexdigest() == (
+            "7ca2a577a712b7e95930dcb06ade931a31f843f9aed8f08167a7ee85d14fa43e"
+        )
 
 
 def test_console_script_installed():

@@ -1,18 +1,7 @@
-"""Clause/Formula containers, evaluation, and DIMACS round trips."""
+"""Clause/Formula containers and DIMACS round trips."""
 import pytest
 
-from proofsat import Clause, Formula, PartialAssignment, parse_dimacs, write_dimacs
-from proofsat.cnf import (
-    FALSIFIED,
-    FORMULA_CONFLICT,
-    FORMULA_SATISFIED,
-    FORMULA_UNDETERMINED,
-    SATISFIED,
-    UNIT,
-    UNRESOLVED,
-    evaluate_clause,
-    evaluate_formula,
-)
+from proofsat import Clause, Formula, parse_dimacs, write_dimacs
 
 
 class TestClause:
@@ -87,60 +76,6 @@ class TestFormula:
         g.add_clause((2,))
         assert len(f) == 1 and len(g) == 2
         assert f == Formula(2, [(1,)])
-
-
-class TestAssignment:
-    def test_lit_value_tracks_sign(self):
-        a = PartialAssignment({1: True, 2: False})
-        assert a.lit_value(1) is True
-        assert a.lit_value(-1) is False
-        assert a.lit_value(2) is False
-        assert a.lit_value(-2) is True
-        assert a.lit_value(3) is None
-
-    def test_conflicting_reassignment_rejected(self):
-        a = PartialAssignment()
-        a.assign(1, True)
-        a.assign(1, True)  # same value is fine
-        with pytest.raises(ValueError):
-            a.assign(1, False)
-
-    def test_from_literals(self):
-        a = PartialAssignment.from_literals([-3, 2])
-        assert a.value(3) is False and a.value(2) is True
-
-
-class TestEvaluation:
-    def test_clause_statuses(self):
-        c = Clause([1, -2])
-        assert evaluate_clause(c, PartialAssignment({1: True})).status == SATISFIED
-        assert (
-            evaluate_clause(c, PartialAssignment({1: False, 2: True})).status
-            == FALSIFIED
-        )
-        ev = evaluate_clause(c, PartialAssignment({1: False}))
-        assert ev.status == UNIT and ev.unit == -2
-        assert evaluate_clause(c, PartialAssignment()).status == UNRESOLVED
-
-    def test_formula_statuses_and_conflict_id(self):
-        f = Formula(2, [(1, 2), (-1, 2)])
-        assert (
-            evaluate_formula(f, PartialAssignment({2: True})).status
-            == FORMULA_SATISFIED
-        )
-        ev = evaluate_formula(f, PartialAssignment({1: False, 2: False}))
-        assert ev.status == FORMULA_CONFLICT and ev.conflict_clause == 1
-        assert (
-            evaluate_formula(f, PartialAssignment({1: True})).status
-            == FORMULA_UNDETERMINED
-        )
-
-    def test_extra_clauses_take_priority(self):
-        f = Formula(2, [(1, 2)])
-        extra = [Clause([-1]), Clause([2])]
-        ev = evaluate_formula(f, PartialAssignment({1: True, 2: False}), extra)
-        assert ev.status == FORMULA_CONFLICT
-        assert ev.conflict_extra == 0 and ev.conflict_clause is None
 
 
 class TestDimacs:

@@ -5,7 +5,6 @@ import pytest
 
 from proofsat import (
     Clause,
-    FamilySpec,
     brute_force_sat,
     gen_bcp_separation,
     gen_contradiction,
@@ -100,24 +99,3 @@ class TestRandomKcnf:
             gen_random_kcnf(0, 5, 1, 0)
         with pytest.raises(ValueError):
             gen_random_kcnf(3, -1, 2, 0)
-
-
-class TestFamilySpec:
-    def test_build_dispatch(self):
-        assert FamilySpec("contradiction", n=4).build() == gen_contradiction(4)
-        assert FamilySpec("bcp_separation", k=2).build() == gen_bcp_separation(2)
-        assert FamilySpec("random_kcnf", n=5, m=10, k=3, seed=1).build() == (
-            gen_random_kcnf(5, 10, 3, 1)
-        )
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            FamilySpec("squares", n=1).build()
-
-    def test_labels(self):
-        assert FamilySpec("contradiction", n=4).label() == "contradiction(n=4)"
-        assert FamilySpec("bcp_separation", k=2).label() == "bcp_separation(k=2)"
-        assert (
-            FamilySpec("random_kcnf", n=5, m=10, k=3, seed=1).label()
-            == "random_kcnf(n=5,m=10,k=3,seed=1)"
-        )

@@ -10,7 +10,6 @@ from proofsat import (
     export_trace,
     init_refutation,
     parse_trace,
-    pivot,
     resolve,
 )
 from proofsat.proofs import ProofNode
@@ -30,15 +29,6 @@ r 8 1 6 7 0
 
 
 class TestPivotAndResolve:
-    def test_single_clash(self):
-        assert pivot(Clause([1, 2]), Clause([-2, 3])) == 2
-
-    def test_no_clash(self):
-        assert pivot(Clause([1, 2]), Clause([2, 3])) is None
-
-    def test_double_clash_means_tautology_only(self):
-        assert pivot(Clause([1, 2]), Clause([-1, -2])) is None
-
     def test_resolve_requires_positive_then_negative(self):
         assert resolve(Clause([1, 2]), Clause([-2, 3]), 2) == Clause([1, 3])
         with pytest.raises(ValueError):

@@ -8,6 +8,11 @@ unit clauses are picked, or to the bookkeeping behind it, shows up here even on
 formulas too large for the brute-force oracle.  Debug checks are on, so every
 unit pick is also compared with a scan for the lowest-id unit clause.
 
+The ``tae`` and plain ``dll_strict`` digests were computed while each mode
+still had its own driver loop, before the two were merged into one; they use
+14-variable formulas because plain ``dll_strict`` needs minutes on the
+50-variable ones.
+
     python tests/test_stream_pins.py   # print the digests of the current code
 """
 import hashlib
@@ -16,7 +21,8 @@ import itertools
 import pytest
 
 from proofsat import Formula, SolverConfig, export_trace, gen_random_kcnf, solve
-from proofsat.engine import MODE_DLL
+from proofsat.cli import _config_label
+from proofsat.engine import MODE_DLL, MODE_TAE
 
 
 def duplicate_unit_formula() -> Formula:
@@ -32,24 +38,26 @@ def duplicate_unit_formula() -> Formula:
     return Formula(30, clauses)
 
 
-FORMULAS = {
-    "rand50_seed1": lambda: gen_random_kcnf(50, 213, 3, 1),  # SAT
-    "rand50_seed5": lambda: gen_random_kcnf(50, 213, 3, 5),  # UNSAT
-    "dup_unit": duplicate_unit_formula,  # UNSAT
-}
-
-
-def _configs():
+def _bcp_configs():
     configs = {}
     for ncb, cdb, ccr in itertools.product((False, True), repeat=3):
-        tags = [tag for on, tag in ((ncb, "ncb"), (cdb, "cdb"), (ccr, "ccr")) if on]
-        label = "+".join(["sss", "bcp"] + tags)
-        configs[label] = dict(bcp=True, ncb=ncb, cdb_1uip=cdb, ccr=ccr)
+        kw = dict(bcp=True, ncb=ncb, cdb_1uip=cdb, ccr=ccr)
+        configs[_config_label(SolverConfig(**kw))] = kw
     configs["dll_strict+bcp"] = dict(mode=MODE_DLL, bcp=True)
     return configs
 
 
-CONFIGS = _configs()
+BCP_CONFIGS = _bcp_configs()
+CHRONOLOGICAL_CONFIGS = {"tae": dict(mode=MODE_TAE), "dll_strict": dict(mode=MODE_DLL)}
+
+# name -> (formula factory, the configurations run on it)
+FORMULAS = {
+    "rand50_seed1": (lambda: gen_random_kcnf(50, 213, 3, 1), BCP_CONFIGS),  # SAT
+    "rand50_seed5": (lambda: gen_random_kcnf(50, 213, 3, 5), BCP_CONFIGS),  # UNSAT
+    "dup_unit": (duplicate_unit_formula, BCP_CONFIGS),  # UNSAT
+    "rand14_seed1": (lambda: gen_random_kcnf(14, 60, 3, 1), CHRONOLOGICAL_CONFIGS),  # SAT
+    "rand14_seed2": (lambda: gen_random_kcnf(14, 60, 3, 2), CHRONOLOGICAL_CONFIGS),  # UNSAT
+}
 
 
 def run_digest(formula: Formula, config: SolverConfig) -> str:
@@ -101,14 +109,23 @@ PINNED = {
         "sss+bcp+ncb+cdb+ccr": "ca329413e3a37cd797047066cb6f7bdbe06f27a94924cf8af439619f19c3f030",
         "dll_strict+bcp": "fe2b9d88d4d05160c5958f5713c36dc4cca3fc48f18d1d9b48f4ca1288359ac1",
     },
+    "rand14_seed1": {
+        "tae": "5a5f89d819ab33456484bfa968d12922cb62b7718fa406d9321ff4b8c647ecf1",
+        "dll_strict": "6f15fa9d8d8f245daa80b604e978331185e74296e4d4ce1e8e2fc35a5e33c76f",
+    },
+    "rand14_seed2": {
+        "tae": "1e02ee99a247c3f53fdafdacc2157037cc6a1be7b3f2a568acc0894ea5783002",
+        "dll_strict": "d53c51a3f42cedbac79dfbe8ebc54b77a26ba1642e186f0bb8fa6ae6a542f921",
+    },
 }
 
 
 def digests(fname: str) -> dict:
-    formula = FORMULAS[fname]()
+    factory, configs = FORMULAS[fname]
+    formula = factory()
     return {
         label: run_digest(formula, SolverConfig(collect_events=True, debug_checks=True, **kw))
-        for label, kw in CONFIGS.items()
+        for label, kw in configs.items()
     }
 
 
