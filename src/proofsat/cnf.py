@@ -55,13 +55,6 @@ class Clause:
     def literals(self) -> Tuple[Literal, ...]:
         return self._lits
 
-    @property
-    def is_tautology(self) -> bool:
-        return _tautological(set(self._lits))
-
-    def variables(self) -> Tuple[Variable, ...]:
-        return tuple(sorted({abs(lit) for lit in self._lits}))
-
     def __contains__(self, lit: Literal) -> bool:
         return lit in self._lits
 

@@ -23,15 +23,15 @@ from .cnf import Clause, Formula, Literal, Variable, _tautological
 
 
 class ProofNode(NamedTuple):
-    """One node of a RefutationGraph: a source clause (no premises) or the
-    resolvent of nodes ``left`` and ``right`` on ``pivot``."""
+    """One node of a RefutationGraph: a source (no premises), whose id is
+    the id of the formula clause it mirrors, or the resolvent of nodes
+    ``left`` and ``right`` on ``pivot``."""
 
     id: int
     clause: Clause
     left: Optional[int] = None
     right: Optional[int] = None
     pivot: Optional[Variable] = None
-    source_index: Optional[int] = None
 
     @property
     def is_source(self) -> bool:
@@ -78,6 +78,37 @@ def _same_literals(lits: Set[Literal], clause: Clause) -> bool:
     return len(lits) == len(clause._lits) and lits.issuperset(clause._lits)
 
 
+def _derive(
+    nodes: Dict[int, ProofNode], nid: int, left: int, right: int, pivot: Variable
+) -> Set[Literal]:
+    """The literal set of resolvent ``nid`` of ``left`` and ``right`` on
+    ``pivot``: the one rule set for a resolution step, shared by
+    ``add_node``, ``parse_trace`` and ``check_refutation``.  Raises
+    ValueError naming the first rule the step breaks."""
+    if left not in nodes or right not in nodes:
+        raise ValueError("premise id not defined earlier")
+    if not isinstance(pivot, int) or pivot < 1:
+        raise ValueError("pivot must be a positive variable, got %r" % (pivot,))
+    lits = _oriented_set(nodes[left].clause._lits, nodes[right].clause._lits, pivot)
+    if _tautological(lits):
+        raise ValueError("resolvent of %d and %d on %d is tautological" % (left, right, pivot))
+    if nid <= max(left, right):
+        raise ValueError("resolvent id must exceed its premise ids")
+    return lits
+
+
+def _source(formula: Formula, nid: int, lits: Set[Literal]) -> Clause:
+    """The formula clause that source ``nid`` with literals ``lits``
+    mirrors.  Raises ValueError when there is none or its literals differ."""
+    try:
+        clause = formula.clause(nid)
+    except KeyError:
+        raise ValueError("no formula clause with id %d" % nid) from None
+    if not _same_literals(lits, clause):
+        raise ValueError("literals differ from formula clause %d" % nid)
+    return clause
+
+
 def resolve(d1: Clause, d2: Clause, v: Variable) -> Clause:
     """Resolvent of d1 and d2 on pivot v, requiring +v in d1 and -v in d2."""
     if v not in d1._lits or -v not in d2._lits:
@@ -97,22 +128,24 @@ class RefutationGraph:
 
     # -- construction -----------------------------------------------------
 
-    def _claim_id(self, wanted: Optional[int] = None) -> int:
+    def _claim_id(self, wanted: Optional[int]) -> int:
         if wanted is None:
-            nid = self._next_id
-        else:
-            if wanted < 1:
-                raise ValueError("node id must be positive")
-            if wanted in self.nodes:
-                raise ValueError("node id %d already in use" % wanted)
-            nid = wanted
-        self._next_id = max(self._next_id, nid + 1)
-        return nid
+            return self._next_id
+        if wanted < 1:
+            raise ValueError("node id must be positive")
+        if wanted in self.nodes:
+            raise ValueError("node id %d already used" % wanted)
+        return wanted
 
-    def add_source(self, clause: Clause, source_index: int, node_id: Optional[int] = None) -> int:
-        nid = self._claim_id(node_id)
-        self.nodes[nid] = ProofNode(nid, clause, source_index=source_index)
-        return nid
+    def _store(self, node: ProofNode) -> int:
+        self.nodes[node.id] = node
+        self._next_id = max(self._next_id, node.id + 1)
+        return node.id
+
+    def add_source(self, clause: Clause, node_id: Optional[int] = None) -> int:
+        """Append a source node; its id is the id of the formula clause it
+        mirrors."""
+        return self._store(ProofNode(self._claim_id(node_id), clause))
 
     def add_node(
         self,
@@ -125,28 +158,12 @@ class RefutationGraph:
 
         The premises may be passed in either polarity order; the clause with
         the positive pivot occurrence is used as the positive side.  Raises
-        if the pivot is not a positive variable, does not clash or gives a
-        tautological resolvent.
+        ValueError if the id is taken or the step breaks a rule of
+        ``_derive``.
         """
-        nodes = self.nodes
-        try:
-            left = nodes[left_id]
-            right = nodes[right_id]
-        except KeyError as exc:
-            raise KeyError("no node with id %r" % (exc.args[0],)) from None
-        if pivot_var < 1:
-            raise ValueError("pivot must be a positive variable, got %d" % pivot_var)
-        lits = _oriented_set(left.clause._lits, right.clause._lits, pivot_var)
-        if _tautological(lits):
-            raise ValueError(
-                "resolvent of %d and %d on %d is tautological"
-                % (left_id, right_id, pivot_var)
-            )
-        if node_id is not None and node_id <= max(left_id, right_id):
-            raise ValueError("resolvent id must exceed its premise ids")
         nid = self._claim_id(node_id)
-        self.nodes[nid] = ProofNode(nid, Clause._trusted(lits), left_id, right_id, pivot_var)
-        return nid
+        lits = _derive(self.nodes, nid, left_id, right_id, pivot_var)
+        return self._store(ProofNode(nid, Clause._trusted(lits), left_id, right_id, pivot_var))
 
     # -- access -----------------------------------------------------------
 
@@ -169,10 +186,6 @@ class RefutationGraph:
     def size(self) -> int:
         """Number of resolvent (non-source) nodes."""
         return sum(1 for n in self.nodes.values() if not n.is_source)
-
-    def empty_clause_id(self) -> Optional[int]:
-        empties = [nid for nid, n in self.nodes.items() if len(n.clause) == 0]
-        return min(empties) if empties else None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RefutationGraph):
@@ -202,8 +215,7 @@ class RefutationGraph:
         """Subgraph of everything reachable from node_id, ids preserved."""
         sub = RefutationGraph()
         for nid in sorted(self.reachable_from(node_id)):
-            sub.nodes[nid] = self.nodes[nid]
-            sub._next_id = max(sub._next_id, nid + 1)
+            sub._store(self.nodes[nid])
         return sub
 
 
@@ -211,19 +223,20 @@ def init_refutation(formula: Formula) -> RefutationGraph:
     """One source node per formula clause, ids matching clause ids."""
     graph = RefutationGraph()
     for cid in formula.ids():
-        graph.add_source(formula.clause(cid), cid, node_id=cid)
+        graph.add_source(formula.clause(cid), cid)
     return graph
 
 
 def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
     """Validate a derivation against its formula.
 
-    valid: every source matches its formula clause and every resolvent
-    re-derives (non-tautologically) from its premises on a pivot that is a
-    positive variable.  complete: the empty clause is present.  tree_like /
-    regular are judged within the derivation of the sink -- the lowest
-    empty-clause node when complete, else the highest-id node.  size counts
-    resolvent nodes in the whole graph.
+    valid: every source obeys the rules of ``_source`` and every resolvent
+    those of ``_derive``, with its stored literals equal to the recomputed
+    resolvent; each broken rule is recorded as ``node N: <message>``, in
+    the wording ``parse_trace`` raises.  complete: the empty clause is
+    present.  tree_like / regular are judged within the derivation of the
+    sink -- the lowest empty-clause node when complete, else the highest-id
+    node.  size counts resolvent nodes in the whole graph.
     """
     problems: List[str] = []
     nodes = graph.nodes
@@ -233,49 +246,16 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
         node = nodes[nid]
         if empty_id is None and not node.clause:
             empty_id = nid
-        if node.is_source:
-            if node.source_index is None:
-                problems.append("node %d: source without clause index" % nid)
-                continue
-            try:
-                expected = formula.clause(node.source_index)
-            except KeyError:
-                problems.append(
-                    "node %d: source index %d not in formula" % (nid, node.source_index)
-                )
-                continue
-            if expected != node.clause:
-                problems.append(
-                    "node %d: clause differs from formula clause %d"
-                    % (nid, node.source_index)
-                )
-            continue
-        size += 1
-        if node.left not in nodes or node.right not in nodes:
-            problems.append("node %d: missing premise" % nid)
-            continue
-        if node.left >= nid or node.right >= nid:
-            problems.append("node %d: premise does not precede it" % nid)
-            continue
-        if not _pivot_bit(node):
-            problems.append(
-                "node %d: pivot %r is not a positive variable" % (nid, node.pivot)
-            )
-            continue
         try:
-            derived = _oriented_set(
-                nodes[node.left].clause._lits, nodes[node.right].clause._lits, node.pivot
-            )
+            if node.is_source:
+                _source(formula, nid, set(node.clause._lits))
+                continue
+            size += 1
+            derived = _derive(nodes, nid, node.left, node.right, node.pivot)
+            if not _same_literals(derived, node.clause):
+                raise ValueError("literals differ from recomputed resolvent")
         except ValueError as exc:
             problems.append("node %d: %s" % (nid, exc))
-            continue
-        if _tautological(derived):
-            problems.append("node %d: tautological resolvent" % nid)
-            continue
-        if not _same_literals(derived, node.clause):
-            problems.append(
-                "node %d: stored clause differs from recomputed resolvent" % nid
-            )
     valid = not problems
     complete = empty_id is not None
     if nodes:
@@ -284,18 +264,20 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
         derivation = set()
 
     # Within the derivation, a resolvent used as a premise twice breaks
-    # tree-likeness.  A node's "pivots below" is the set of pivots reachable
-    # through its premises; repeating one of them at the node itself puts
-    # the same pivot twice on a path.  Ids are topologically ordered, so one
-    # ascending pass suffices; the sets are kept as variable-indexed
-    # bitmasks.
+    # tree-likeness, and a pivot that already occurs at or below one of the
+    # premises puts the same pivot twice on a path.  Ids are topologically
+    # ordered, so one ascending pass suffices.  The pivots at or below a
+    # node are kept as a bitmask with one bit per distinct pivot, numbered
+    # in first-seen order, so a mask grows with the number of pivots and not
+    # with their variable ids.
     tree_like = regular = True
     used: Set[int] = set()
-    below: Dict[int, int] = {}
+    bit_of: Dict[Variable, int] = {}
+    at_or_below: Dict[int, int] = {}
     for nid in sorted(derivation):
         node = nodes[nid]
         if node.is_source:
-            below[nid] = 0
+            at_or_below[nid] = 0
             continue
         mask = 0
         for premise in (node.left, node.right):
@@ -306,10 +288,11 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
                 if premise in used:
                     tree_like = False
                 used.add(premise)
-            mask |= below.get(premise, 0) | _pivot_bit(premise_node)
-        if mask & _pivot_bit(node):
+            mask |= at_or_below.get(premise, 0)
+        bit = bit_of.setdefault(node.pivot, 1 << len(bit_of))
+        if mask & bit:
             regular = False
-        below[nid] = mask
+        at_or_below[nid] = mask | bit
     return CheckReport(
         valid=valid,
         complete=complete,
@@ -318,13 +301,6 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
         size=size,
         problems=problems,
     )
-
-
-def _pivot_bit(node: ProofNode) -> int:
-    """The node's pivot as a variable-indexed bit; 0 for a source, and for a
-    pivot that is not a positive variable."""
-    p = node.pivot
-    return (1 << p) if isinstance(p, int) and p > 0 else 0
 
 
 def export_trace(graph: RefutationGraph) -> str:
@@ -345,85 +321,55 @@ def export_trace(graph: RefutationGraph) -> str:
 def parse_trace(text: str, formula: Formula) -> RefutationGraph:
     """Parse a trace and revalidate every record.
 
-    Errors, each naming its line: missing header, id reuse, a premise id
-    that has not appeared yet, a record without its terminating 0, a zero
-    or tautological literal list, an 'o' record whose literals differ from
-    the formula clause of the same id, an 'r' record whose pivot is not a
-    positive variable or does not clash, and an 'r' record whose literals
-    differ from the recomputed resolvent.
+    Errors, each prefixed with ``line N: ``: a missing header, an unknown
+    or unterminated record, a non-integer token, a record too short for its
+    kind, a zero literal, an 'o' record that breaks a rule of ``_source``
+    or reuses an id, an 'r' record that ``add_node`` rejects, and an 'r'
+    record whose literals differ from the recomputed resolvent.
     """
     graph = RefutationGraph()
-    nodes = graph.nodes
     header_seen = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if not header_seen:
-            if line != "p trace":
-                raise ValueError("line %d: expected 'p trace' header" % line_no)
-            header_seen = True
-            continue
-        tokens = line.split()
-        kind = tokens[0]
-        if kind not in ("o", "r"):
-            raise ValueError("line %d: unknown record %r" % (line_no, kind))
-        if tokens[-1] != "0":
-            raise ValueError("line %d: record not terminated by 0" % line_no)
         try:
-            numbers = list(map(int, tokens[1:-1]))
-        except ValueError:
-            raise ValueError("line %d: non-integer token" % line_no)
-        if kind == "o":
-            if len(numbers) < 1:
-                raise ValueError("line %d: source record needs an id" % line_no)
-            if len(numbers) == 1:
-                raise ValueError("line %d: source clause is empty" % line_no)
-            nid = numbers[0]
-            lits = set(numbers[1:])
-        else:
-            if len(numbers) < 4:
-                raise ValueError(
-                    "line %d: resolvent record needs id, pivot and two premises"
-                    % line_no
-                )
-            nid, pivot_var, left_id, right_id = numbers[:4]
-            lits = set(numbers[4:])
-        if 0 in lits:
-            raise ValueError(
-                "line %d: literal must be a nonzero integer, got 0" % line_no
-            )
-        if _tautological(lits):
-            raise ValueError("line %d: tautological clause" % line_no)
-        if kind == "o":
+            if not header_seen:
+                if line != "p trace":
+                    raise ValueError("expected 'p trace' header")
+                header_seen = True
+                continue
+            tokens = line.split()
+            kind = tokens[0]
+            if kind not in ("o", "r"):
+                raise ValueError("unknown record %r" % kind)
+            if tokens[-1] != "0":
+                raise ValueError("record not terminated by 0")
             try:
-                expected = formula.clause(nid)
-            except KeyError:
-                raise ValueError(
-                    "line %d: no formula clause with id %d" % (line_no, nid)
-                )
-            if not _same_literals(lits, expected):
-                raise ValueError(
-                    "line %d: literals differ from formula clause %d" % (line_no, nid)
-                )
-            if nid in nodes:
-                raise ValueError("line %d: node id %d already used" % (line_no, nid))
-            graph.add_source(expected, nid, node_id=nid)
-        else:
-            if left_id not in nodes or right_id not in nodes:
-                raise ValueError(
-                    "line %d: premise id not defined earlier" % line_no
-                )
-            if nid in nodes:
-                raise ValueError("line %d: node id %d already used" % (line_no, nid))
-            try:
-                new_id = graph.add_node(left_id, right_id, pivot_var, node_id=nid)
-            except ValueError as exc:
-                raise ValueError("line %d: %s" % (line_no, exc)) from None
-            if not _same_literals(lits, nodes[new_id].clause):
-                raise ValueError(
-                    "line %d: literals differ from recomputed resolvent" % line_no
-                )
+                numbers = list(map(int, tokens[1:-1]))
+            except ValueError:
+                raise ValueError("non-integer token") from None
+            if kind == "o":
+                if len(numbers) < 1:
+                    raise ValueError("source record needs an id")
+                if len(numbers) == 1:
+                    raise ValueError("source clause is empty")
+                lits = set(numbers[1:])
+            else:
+                if len(numbers) < 4:
+                    raise ValueError("resolvent record needs id, pivot and two premises")
+                lits = set(numbers[4:])
+            if 0 in lits:
+                raise ValueError("literal must be a nonzero integer, got 0")
+            if kind == "o":
+                graph.add_source(_source(formula, numbers[0], lits), numbers[0])
+            else:
+                nid, pivot_var, left_id, right_id = numbers[:4]
+                graph.add_node(left_id, right_id, pivot_var, node_id=nid)
+                if not _same_literals(lits, graph.nodes[nid].clause):
+                    raise ValueError("literals differ from recomputed resolvent")
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (line_no, exc)) from None
     if not header_seen:
         raise ValueError("missing 'p trace' header")
     return graph

@@ -54,3 +54,7 @@ def test_all_matches_the_pinned_names():
 def test_every_exported_name_resolves():
     for name in proofsat.__all__:
         assert getattr(proofsat, name) is not None, name
+
+
+def test_proof_node_layout_is_pinned():
+    assert proofsat.ProofNode._fields == ("id", "clause", "left", "right", "pivot")

@@ -3,8 +3,10 @@
 Each ceiling sits between the footprint of the current representation and
 that of the one it replaced, so a regression to the old layout fails here:
 a ``Clause`` that kept a frozenset beside its literal tuple took about
-890 KB on the certify path below, and occurrence lists built for every
-declared literal took about 35 MB for the 200,000-variable header."""
+890 KB on the certify path below, occurrence lists built for every
+declared literal took about 35 MB for the 200,000-variable header, and a
+regularity mask indexed by variable id took about 39 MB to check a
+337-resolvent refutation over variable ids near 10**6."""
 import gc
 import tracemalloc
 
@@ -15,6 +17,7 @@ from proofsat import (
     check_refutation,
     export_trace,
     gen_random_kcnf,
+    init_refutation,
     parse_trace,
 )
 
@@ -56,3 +59,26 @@ def test_unused_variables_cost_no_occurrence_lists():
     formula = Formula(200_000, [(1,), (2,)])
     peak = traced_peak(lambda: Solver(formula))
     assert peak < 20_000_000, "Solver(...) peaked at %.1f MB" % (peak / 1e6)
+
+
+def test_checker_memory_does_not_grow_with_variable_ids():
+    # The 337-resolvent sss+bcp refutation of gen_random_kcnf(30, 150, 3, 1)
+    # with every variable v renamed to v + 10**6; checking it peaks at about
+    # 100 KB, the same as with the original ids.
+    formula = gen_random_kcnf(30, 150, 3, 1)
+    proof = Solver(formula, SolverConfig(bcp=True)).solve().proof
+    shift = 10**6
+    renamed = Formula(
+        formula.num_vars + shift,
+        [[lit + shift if lit > 0 else lit - shift for lit in formula.clause(cid)]
+         for cid in formula.ids()],
+    )
+    graph = init_refutation(renamed)
+    for nid in sorted(proof.nodes):
+        node = proof.nodes[nid]
+        if not node.is_source:
+            graph.add_node(node.left, node.right, node.pivot + shift, node_id=nid)
+    report = []
+    peak = traced_peak(lambda: report.append(check_refutation(graph, renamed)))
+    assert report[0].valid and report[0].complete and report[0].size == 337
+    assert peak < 2 * 1024 * 1024, "check_refutation peaked at %d KB" % (peak // 1024)

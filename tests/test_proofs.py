@@ -12,7 +12,7 @@ from proofsat import (
     parse_trace,
     resolve,
 )
-from proofsat.proofs import ProofNode
+from proofsat.proofs import ProofNode, _source
 
 from conftest import make_base_formula, make_shared_node_refutation
 
@@ -47,7 +47,7 @@ class TestRefutationGraph:
             node = g.node(cid)
             assert node.is_source
             assert node.clause == f.clause(cid)
-            assert node.source_index == cid
+            assert node.id == cid
 
     def test_add_node_orients_either_premise_order(self):
         f = make_base_formula()
@@ -91,12 +91,6 @@ class TestRefutationGraph:
         g = make_shared_node_refutation(make_base_formula())
         assert len(g) == 8
         assert g.size == 4
-
-    def test_empty_clause_id_is_lowest(self):
-        g = make_shared_node_refutation(make_base_formula())
-        assert g.empty_clause_id() == 8
-        g.add_node(6, 7, 1)  # a second empty clause, id 9
-        assert g.empty_clause_id() == 8
 
     def test_reachable_and_extract(self):
         g = make_shared_node_refutation(make_base_formula())
@@ -151,7 +145,7 @@ class TestChecker:
         g.add_source(Clause([1]), 1)  # formula clause 1 is (1 2)
         report = check_refutation(g, f)
         assert not report.valid
-        assert any("differs from formula clause 1" in p for p in report.problems)
+        assert report.problems == ["node 1: literals differ from formula clause 1"]
 
     def test_source_index_out_of_range_reported(self):
         f = make_base_formula()
@@ -159,7 +153,7 @@ class TestChecker:
         g.add_source(Clause([1, 2]), 99)
         report = check_refutation(g, f)
         assert not report.valid
-        assert any("not in formula" in p for p in report.problems)
+        assert report.problems == ["node 99: no formula clause with id 99"]
 
     def test_forged_resolvent_clause_reported(self):
         # The checker must recompute resolvents rather than trust the graph,
@@ -177,7 +171,7 @@ class TestChecker:
         g.nodes[5] = ProofNode(5, Clause([-2]), left=2, right=77, pivot=3)
         report = check_refutation(g, f)
         assert not report.valid
-        assert any("missing premise" in p for p in report.problems)
+        assert report.problems == ["node 5: premise id not defined earlier"]
 
     def test_premise_order_violation_reported(self):
         f = make_base_formula()
@@ -186,7 +180,7 @@ class TestChecker:
         g.nodes[4] = ProofNode(4, Clause([-1, 2]), left=5, right=1, pivot=2)
         report = check_refutation(g, f)
         assert not report.valid
-        assert any("premise does not precede" in p for p in report.problems)
+        assert "node 4: resolvent id must exceed its premise ids" in report.problems
 
     def test_empty_graph(self):
         report = check_refutation(RefutationGraph(), make_base_formula())
@@ -202,16 +196,85 @@ class TestChecker:
         g.nodes[6] = ProofNode(6, Clause([-2]), left=5, right=5, pivot=3)
         report = check_refutation(g, f)
         assert not report.valid
-        assert "node 5: pivot %r is not a positive variable" % (bad_pivot,) in report.problems
+        assert "node 5: pivot must be a positive variable, got %r" % (bad_pivot,) in report.problems
+
+
+# One faulty step per rule of _derive and _source.  Each case names the
+# formula clauses present as sources, then the faulty record.
+RULE_FORMULA = Formula(3, [(1, 2), (-1, -2), (-2, 3), (-2, -3)])
+RULE_CASES = [
+    ([3, 4], "r 5 3 3 77 -2 0", "premise id not defined earlier"),
+    ([3, 4], "r 2 3 3 4 -2 0", "resolvent id must exceed its premise ids"),
+    ([3, 4], "r 5 -3 3 4 -2 0", "pivot must be a positive variable, got -3"),
+    ([3, 4], "r 5 0 3 4 -2 0", "pivot must be a positive variable, got 0"),
+    ([3, 4], "r 5 2 3 4 -2 0", "pivot 2 does not occur with opposite polarities in the premises"),
+    ([1, 2], "r 5 1 1 2 0", "resolvent of 1 and 2 on 1 is tautological"),
+    ([3, 4], "r 5 3 3 4 -2 -1 0", "literals differ from recomputed resolvent"),
+    ([3], "o 4 -2 0", "literals differ from formula clause 4"),
+    ([3, 4], "o 9 1 2 0", "no formula clause with id 9"),
+]
+
+
+@pytest.mark.parametrize(
+    "sources,record,message",
+    RULE_CASES,
+    ids=[
+        "missing_premise",
+        "later_premise",
+        "negative_pivot",
+        "zero_pivot",
+        "nonclashing_pivot",
+        "tautological_resolvent",
+        "wrong_resolvent_literals",
+        "source_mismatch",
+        "source_outside_formula",
+    ],
+)
+def test_each_fault_has_one_wording(sources, record, message):
+    f = RULE_FORMULA
+    kind, *numbers = record.split()
+    numbers = [int(t) for t in numbers[:-1]]
+    nid = numbers[0]
+
+    def graph_of_sources():
+        g = RefutationGraph()
+        for cid in sources:
+            g.add_source(f.clause(cid), cid)
+        return g
+
+    if kind == "o":
+        with pytest.raises(ValueError) as info:
+            _source(f, nid, set(numbers[1:]))
+        assert str(info.value) == message
+    elif not message.startswith("literals differ"):
+        # add_node computes the literals itself, so only a record can
+        # carry wrong ones.
+        with pytest.raises(ValueError) as info:
+            graph_of_sources().add_node(numbers[2], numbers[3], numbers[1], node_id=nid)
+        assert str(info.value) == message
+
+    text = "p trace\n" + "".join(
+        "o %d %s 0\n" % (cid, " ".join(map(str, f.clause(cid)))) for cid in sources
+    )
+    with pytest.raises(ValueError) as info:
+        parse_trace(text + record + "\n", f)
+    assert str(info.value) == "line %d: %s" % (len(sources) + 2, message)
+
+    g = graph_of_sources()
+    if kind == "o":
+        g.nodes[nid] = ProofNode(nid, Clause(numbers[1:]))
+    else:
+        g.nodes[nid] = ProofNode(nid, Clause(numbers[4:]), numbers[2], numbers[3], numbers[1])
+    assert check_refutation(g, f).problems == ["node %d: %s" % (nid, message)]
 
 
 class TestProofNode:
     def test_fields_equality_and_immutability(self):
-        source = ProofNode(1, Clause([1, 2]), source_index=1)
+        source = ProofNode(1, Clause([1, 2]))
         resolvent = ProofNode(5, Clause([-2]), 2, 3, 3)
         assert source.is_source and not resolvent.is_source
+        assert (source.left, source.right, source.pivot) == (None, None, None)
         assert (resolvent.left, resolvent.right, resolvent.pivot) == (2, 3, 3)
-        assert resolvent.source_index is None
         assert resolvent == ProofNode(5, Clause([-2]), left=2, right=3, pivot=3)
         assert resolvent != ProofNode(5, Clause([-2]), left=3, right=2, pivot=3)
         with pytest.raises(AttributeError):
@@ -251,8 +314,7 @@ class TestTraceFormat:
     def test_comments_and_blank_lines_ignored(self):
         f = Formula(1, [(1,), (-1,)])
         text = "c note\np trace\n\no 1 1 0\nc mid\no 2 -1 0\nr 3 1 1 2 0\n"
-        g = parse_trace(text, f)
-        assert g.empty_clause_id() == 3
+        assert check_refutation(parse_trace(text, f), f).complete
 
     @pytest.mark.parametrize(
         "text,fragment",
