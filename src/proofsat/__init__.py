@@ -54,7 +54,6 @@ from .proofs import (
     export_trace,
     init_refutation,
     parse_trace,
-    resolve,
 )
 
 __version__ = "0.1.0"
@@ -96,7 +95,6 @@ __all__ = [
     "init_refutation",
     "parse_dimacs",
     "parse_trace",
-    "resolve",
     "solve",
     "verify_model",
     "write_dimacs",

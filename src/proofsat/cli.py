@@ -15,9 +15,6 @@ from typing import List, Optional, Sequence, TextIO, Tuple
 
 from .cnf import Formula, parse_dimacs, write_dimacs
 from .engine import (
-    HEUR_ASCENDING,
-    HEUR_FIXED,
-    HEUR_RANDOM,
     MODE_DLL,
     MODE_SSS,
     MODE_TAE,
@@ -102,9 +99,6 @@ def _config_label(config: SolverConfig) -> str:
 
 def _build_config(args: argparse.Namespace) -> SolverConfig:
     order: tuple = ()
-    heuristic = HEUR_ASCENDING
-    if args.order is not None and args.seed is not None:
-        raise ValueError("--order and --seed are mutually exclusive")
     if args.order is not None:
         try:
             order = tuple(int(tok) for tok in args.order.split(",") if tok.strip())
@@ -112,13 +106,8 @@ def _build_config(args: argparse.Namespace) -> SolverConfig:
             raise ValueError("--order expects a comma-separated list of variables")
         if not order:
             raise ValueError("--order expects at least one variable")
-        heuristic = HEUR_FIXED
-    seed = 0
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ValueError("--seed must fit in 64 bits")
-        seed = args.seed
-        heuristic = HEUR_RANDOM
+    if args.seed is not None and not 0 <= args.seed < 2**64:
+        raise ValueError("--seed must fit in 64 bits")
     if args.mode != "sss":
         for flag in ("proof", "dot"):
             if getattr(args, flag, None):
@@ -130,9 +119,8 @@ def _build_config(args: argparse.Namespace) -> SolverConfig:
         ncb_left_adjust=args.ncb_left_adjust,
         cdb_1uip=args.cdb,
         ccr=args.ccr,
-        heuristic=heuristic,
         order=order,
-        seed=seed,
+        seed=args.seed,
     )
 
 

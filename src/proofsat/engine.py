@@ -20,7 +20,13 @@ Three modes share one trail and two drivers:
 
 Verdicts agree across modes; only the work done, and the proof artifacts,
 differ.  Decisions count fresh assignments (unit-driven ones included);
-flips are never decisions.
+flips are never decisions.  A decision that no feature forces follows
+``SolverConfig.order`` when it is set, a generator seeded with
+``SolverConfig.seed`` when that is set, and otherwise assigns the lowest
+unassigned variable false.
+
+Each driver is one generator of step events; ``Solver.step()`` returns the
+next event and ``Solver.solve()`` runs the rest of them.
 """
 from __future__ import annotations
 
@@ -37,11 +43,6 @@ MODE_SSS = "sss"
 MODE_DLL = "dll_strict"
 MODE_TAE = "tae"
 MODES = (MODE_SSS, MODE_DLL, MODE_TAE)
-
-HEUR_ASCENDING = "ascending_false"
-HEUR_FIXED = "fixed_order"
-HEUR_RANDOM = "random"
-HEURISTICS = (HEUR_ASCENDING, HEUR_FIXED, HEUR_RANDOM)
 
 VERDICT_SAT = "SAT"
 VERDICT_UNSAT = "UNSAT"
@@ -139,23 +140,29 @@ StepEvent = Union[
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """How a run searches.  ``mode`` picks the driver, and ``bcp``,
+    ``ncb`` (refined by ``ncb_left_adjust``), ``cdb_1uip`` and ``ccr``
+    switch on the features.  The decisions they leave open follow the
+    heuristic that ``order`` and ``seed`` pick: a non-empty ``order``
+    decides its variables first and the rest ascending, a ``seed`` picks
+    variable and value at random from ``random.Random(seed)``, and with
+    neither the lowest unassigned variable is set false.  ``order`` and
+    ``seed`` exclude each other.  ``debug_checks`` verifies the engine's
+    invariants as it runs."""
+
     mode: str = MODE_SSS
     bcp: bool = False
     ncb: bool = False
     ncb_left_adjust: bool = False
     cdb_1uip: bool = False
     ccr: bool = False
-    heuristic: str = HEUR_ASCENDING
     order: Tuple[Variable, ...] = ()
-    seed: int = 0
-    collect_events: bool = False
+    seed: Optional[int] = None
     debug_checks: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError("unknown mode %r" % (self.mode,))
-        if self.heuristic not in HEURISTICS:
-            raise ValueError("unknown heuristic %r" % (self.heuristic,))
         if self.mode == MODE_TAE:
             for name in ("bcp", "ncb", "ncb_left_adjust", "cdb_1uip", "ccr"):
                 if getattr(self, name):
@@ -166,15 +173,15 @@ class SolverConfig:
                     raise ValueError("mode dll_strict does not support %s" % name)
         if self.ncb_left_adjust and not self.ncb:
             raise ValueError("ncb_left_adjust requires ncb")
-        if self.heuristic == HEUR_FIXED:
-            if not self.order:
-                raise ValueError("fixed_order heuristic needs a variable order")
-            if len(set(self.order)) != len(self.order):
-                raise ValueError("fixed_order list contains duplicates")
-            if any(v < 1 for v in self.order):
-                raise ValueError("fixed_order entries must be positive variables")
-        elif self.order:
-            raise ValueError("order list only makes sense with fixed_order")
+        if self.order and self.seed is not None:
+            raise ValueError("order and seed are mutually exclusive")
+        for v in self.order:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise ValueError(
+                    "order entries must be positive variables, got %r" % (v,)
+                )
+        if len(set(self.order)) != len(self.order):
+            raise ValueError("order list contains duplicates")
 
 
 @dataclass
@@ -206,7 +213,6 @@ class SolveOutcome:
     graph: Optional[RefutationGraph] = None
     root: Optional[int] = None
     instance: Optional[Formula] = None
-    events: Optional[List[StepEvent]] = None
 
 
 def verify_model(formula: Formula, model: Dict[Variable, bool]) -> bool:
@@ -220,11 +226,9 @@ def verify_model(formula: Formula, model: Dict[Variable, bool]) -> bool:
     return True
 
 
-_NP_BLOCK = -1  # sentinel from _blocking: the backtracking clause itself
-
-
 class Solver:
-    """Single-use solver: construct, then solve() or step() to completion.
+    """Single-use solver: construct, then solve() or step() to completion;
+    ``list(iter(solver.step, None))`` is the run's event stream.
 
     The input formula is copied; with clause recording enabled the copy
     grows and is returned as ``outcome.instance``.
@@ -234,12 +238,11 @@ class Solver:
         self.config = config or SolverConfig()
         self.formula = formula.copy()
         self.n = self.formula.num_vars
-        if self.config.heuristic == HEUR_FIXED:
-            for v in self.config.order:
-                if v > self.n:
-                    raise ValueError(
-                        "order entry %d exceeds variable count %d" % (v, self.n)
-                    )
+        for v in self.config.order:
+            if v > self.n:
+                raise ValueError(
+                    "order entry %d exceeds variable count %d" % (v, self.n)
+                )
         self.stats = Stats()
         self.outcome: Optional[SolveOutcome] = None
 
@@ -278,7 +281,6 @@ class Solver:
         self.val: List[Optional[bool]] = [None] * (self.n + 1)
         self.level_of: List[int] = [0] * (self.n + 1)
         self.trail_var: List[int] = [0] * (self.n + 1)
-        self.trail_val: List[bool] = [False] * (self.n + 1)
         self.trail_flipped: List[bool] = [False] * (self.n + 1)
         self.trail_parent: List[int] = [0] * (self.n + 1)
         self.d = 0
@@ -300,36 +302,24 @@ class Solver:
 
         self._rng = (
             random.Random(self.config.seed)
-            if self.config.heuristic == HEUR_RANDOM
+            if self.config.seed is not None
             else None
         )
         # The run's events; the generator starts at the first step.
         run = self._run_sss if self.config.mode == MODE_SSS else self._run_chronological
         self._events: Iterator[StepEvent] = run()
-        self._collected: List[StepEvent] = []
 
     # -- public API -------------------------------------------------------
 
     def solve(self) -> SolveOutcome:
-        """Run to completion, draining the event generator directly rather
-        than through one step() call per event; the events collected are
-        the ones step() would collect."""
-        if self.config.collect_events:
-            self._collected.extend(self._events)
-        else:
-            deque(self._events, maxlen=0)
+        """Run the remaining steps to completion."""
+        deque(self._events, maxlen=0)
         assert self.outcome is not None
         return self.outcome
 
     def step(self) -> Optional[StepEvent]:
         """Advance by one event; None once the run has finished."""
-        try:
-            event = next(self._events)
-        except StopIteration:
-            return None
-        if self.config.collect_events:
-            self._collected.append(event)
-        return event
+        return next(self._events, None)
 
     # -- assignment machinery --------------------------------------------
 
@@ -399,7 +389,6 @@ class Solver:
         self.d += 1
         d = self.d
         self.trail_var[d] = var
-        self.trail_val[d] = value
         self.trail_flipped[d] = False
         self.trail_parent[d] = 0
         self._assign(var, value, d)
@@ -412,10 +401,9 @@ class Solver:
     def _flip_top(self) -> None:
         d = self.d
         var = self.trail_var[d]
-        new_value = not self.trail_val[d]
+        value = self.val[var]
         self._unassign(var)
-        self._assign(var, new_value, d)
-        self.trail_val[d] = new_value
+        self._assign(var, not value, d)
         self.trail_flipped[d] = True
 
     # -- literal/choice helpers ------------------------------------------
@@ -459,12 +447,10 @@ class Solver:
             pick = self._bcp_pick()
             if pick is not None:
                 return (pick[0], pick[1], True)
-        heuristic = self.config.heuristic
-        if heuristic == HEUR_FIXED:
-            for v in self.config.order:
-                if self.val[v] is None:
-                    return (v, False, False)
-        if heuristic == HEUR_RANDOM:
+        for v in self.config.order:
+            if self.val[v] is None:
+                return (v, False, False)
+        if self._rng is not None:
             unassigned = [v for v in range(1, self.n + 1) if self.val[v] is None]
             var = self._rng.choice(unassigned)
             return (var, self._rng.random() < 0.5, False)
@@ -473,27 +459,17 @@ class Solver:
                 return (v, False, False)
         raise RuntimeError("no unassigned variable to decide")
 
-    def _blocking(self, np_lits: Optional[Tuple[Literal, ...]]) -> Optional[int]:
-        """The clause falsified by the current prefix, if any: the pending
-        backtracking clause takes priority, then the lowest clause id."""
-        if np_lits is not None and all(self._lit_false(l) for l in np_lits):
-            return _NP_BLOCK
-        if self.falsified:
-            return min(self.falsified)
-        return None
-
     # -- mode drivers -----------------------------------------------------
 
-    def _decide(self) -> Iterator[StepEvent]:
+    def _decide(self) -> StepEvent:
         var, value, via_bcp = self._choose_new_literal()
         self._push(var, value)
         lit = var if value else -var
         self.stats.decisions += 1
         if via_bcp:
             self.stats.bcp_implications += 1
-            yield BcpDecide(lit)
-        else:
-            yield Decide(lit)
+            return BcpDecide(lit)
+        return Decide(lit)
 
     def _run_chronological(self) -> Iterator[StepEvent]:
         """tae and dll_strict: decide, and while a clause is falsified,
@@ -506,9 +482,9 @@ class Solver:
         total = len(self.clause_lits)
         while True:
             if self.num_sat == total and (not leaves_only or self.d == self.n):
-                yield from self._finish_sat()
+                yield self._finish_sat()
                 return
-            yield from self._decide()
+            yield self._decide()
             while self.falsified and (not leaves_only or self.d == self.n):
                 yield ConflictFound(min(self.falsified))
                 self.stats.conflicts += 1
@@ -516,7 +492,7 @@ class Solver:
                     yield BacktrackSkipRight(self.d)
                     self._pop()
                 if self.d == 0:
-                    yield from self._finish_unsat(None)
+                    yield self._finish_unsat(None)
                     return
                 self._flip_top()
                 self.stats.flips += 1
@@ -533,26 +509,28 @@ class Solver:
                 # falsified clause would have kept the analysis loop going),
                 # so every clause is satisfied and there is nothing left to
                 # decide.
-                yield from self._finish_sat()
+                yield self._finish_sat()
                 return
             np_node, np_lits, np_clause_id = 0, None, None
-            yield from self._decide()
+            yield self._decide()
             if self.num_sat == len(self.clause_lits):
-                yield from self._finish_sat()
+                yield self._finish_sat()
                 return
             # conflict-analysis loop: pin a parent, flip, then either return
-            # to new decisions or backtrack on an instance conflict
+            # to new decisions or backtrack on an instance conflict.  The
+            # blocking clause is the pending backtracking clause when the
+            # prefix falsifies it, else the lowest falsified clause id.
             while True:
-                blocking = self._blocking(np_lits)
-                if blocking is None:
-                    break
-                if blocking == _NP_BLOCK:
+                if np_lits is not None and all(self._lit_false(l) for l in np_lits):
                     parent_node, parent_lits = np_node, np_lits
                     yield ConflictFound(np_clause_id)
-                else:
+                elif self.falsified:
+                    blocking = min(self.falsified)
                     parent_node = self.clause_node[blocking - 1]
                     parent_lits = self.clause_lits[blocking - 1]
                     yield ConflictFound(blocking)
+                else:
+                    break
                 self.stats.conflicts += 1
                 if cfg.ncb:
                     move = self._ncb_target(parent_lits)
@@ -578,9 +556,9 @@ class Solver:
                     np_lits = self.clause_lits[r - 1]
                     np_clause_id = r
                     state = yield from self._backtrack(np_node, np_lits, np_clause_id)
-                    np_node, np_lits, np_clause_id, unsat = state
-                    if unsat:
-                        yield from self._finish_unsat(np_node)
+                    np_node, np_lits, np_clause_id = state
+                    if self.d == 0:
+                        yield self._finish_unsat(np_node)
                         return
                 # otherwise the flip satisfied the parent clause; the
                 # analysis loop condition no longer holds and search resumes
@@ -592,7 +570,7 @@ class Solver:
         while self.d > 0:
             d = self.d
             var = self.trail_var[d]
-            lit = -var if self.trail_val[d] else var  # literal a flip would satisfy
+            lit = -var if self.val[var] else var  # literal a flip would satisfy
             if cfg.debug_checks:
                 self._check_backtracking_invariant(np_node, np_lits, lit)
             in_np = lit in np_lits
@@ -632,7 +610,7 @@ class Solver:
                 np_clause_id = recorded
                 self.stats.recorded_clauses += 1
                 yield Record(recorded)
-        return (np_node, np_lits, np_clause_id, self.d == 0)
+        return (np_node, np_lits, np_clause_id)
 
     # -- feature hooks ----------------------------------------------------
 
@@ -670,13 +648,7 @@ class Solver:
             seat += 1
         if seat >= d:
             return None
-        value = self.trail_val[d]
-        for lvl in range(seat, d):
-            if self.trail_parent[lvl]:
-                self.stats.pruned_ncb += self._abandon(self.trail_parent[lvl])
-        while self.d >= seat:
-            self._pop()
-        self._push(var, value)
+        self.stats.pruned_ncb += self._reseat(seat, d)
         self.stats.ncb_jumps += 1
         self.stats.ncb_levels_skipped += d - seat
         return (d, seat)
@@ -694,8 +666,7 @@ class Solver:
         if d == 0 or not self.trail_flipped[d]:
             return None
         var = self.trail_var[d]
-        value = self.trail_val[d]
-        lit = -var if value else var
+        lit = -var if self.val[var] else var
         if lit not in np_lits:
             return None
         g = d - 1
@@ -709,14 +680,25 @@ class Solver:
             q_level = self.level_of[abs(q)]
             if q_level == 0 or q_level >= g:
                 return None
-        for lvl in range(g, d + 1):
+        self.stats.pruned_uip += self._reseat(g, d + 1)
+        self.trail_parent[g] = np_node
+        return (g, var)
+
+    def _reseat(self, seat: int, top: int) -> int:
+        """Move the current level's variable, with its value, down to level
+        ``seat``: credit the parent derivations of levels seat..top-1 as
+        pruned, pop every level from ``seat`` up, and push the variable
+        unflipped at ``seat``.  Returns the number of resolvents credited."""
+        var = self.trail_var[self.d]
+        value = self.val[var]
+        pruned = 0
+        for lvl in range(seat, top):
             if self.trail_parent[lvl]:
-                self.stats.pruned_uip += self._abandon(self.trail_parent[lvl])
-        while self.d >= g:
+                pruned += self._abandon(self.trail_parent[lvl])
+        while self.d >= seat:
             self._pop()
         self._push(var, value)
-        self.trail_parent[self.d] = np_node
-        return (g, var)
+        return pruned
 
     def _ccr_record(self, np_node: int, np_lits: Tuple[Literal, ...]) -> Optional[int]:
         """Append the backtracking clause to the instance unless an equal
@@ -805,7 +787,7 @@ class Solver:
 
     # -- termination ------------------------------------------------------
 
-    def _finish_sat(self) -> Iterator[StepEvent]:
+    def _finish_sat(self) -> StepEvent:
         model = {
             v: (self.val[v] if self.val[v] is not None else False)
             for v in range(1, self.n + 1)
@@ -818,11 +800,10 @@ class Solver:
             model=model,
             graph=self.graph,
             instance=self.formula,
-            events=self._collected if self.config.collect_events else None,
         )
-        yield Sat()
+        return Sat()
 
-    def _finish_unsat(self, root: Optional[int]) -> Iterator[StepEvent]:
+    def _finish_unsat(self, root: Optional[int]) -> StepEvent:
         proof = None
         if self.graph is not None and root is not None:
             if self.config.debug_checks and len(self.graph.nodes[root].clause) != 0:
@@ -847,9 +828,8 @@ class Solver:
             graph=self.graph,
             root=root,
             instance=self.formula,
-            events=self._collected if self.config.collect_events else None,
         )
-        yield Unsat()
+        return Unsat()
 
     # -- debug invariants -------------------------------------------------
 
@@ -858,7 +838,7 @@ class Solver:
         the flip made true, with every other literal false strictly below
         the level."""
         var = self.trail_var[level]
-        satisfied_lit = var if self.trail_val[level] else -var
+        satisfied_lit = var if self.val[var] else -var
         if satisfied_lit not in parent_lits:
             raise InvariantViolation(
                 "flip at level %d not supported by its parent clause" % level

@@ -109,16 +109,6 @@ def _source(formula: Formula, nid: int, lits: Set[Literal]) -> Clause:
     return clause
 
 
-def resolve(d1: Clause, d2: Clause, v: Variable) -> Clause:
-    """Resolvent of d1 and d2 on pivot v, requiring +v in d1 and -v in d2."""
-    if v not in d1._lits or -v not in d2._lits:
-        raise ValueError(
-            "pivot %d must occur positively in the first clause and negatively"
-            " in the second" % v
-        )
-    return Clause._trusted(_resolvent_set(d1._lits, d2._lits, v))
-
-
 class RefutationGraph:
     """Append-only resolution DAG with 1-based node ids."""
 
@@ -175,9 +165,6 @@ class RefutationGraph:
 
     def node_ids(self) -> List[int]:
         return sorted(self.nodes)
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self.nodes
 
     def __len__(self) -> int:
         return len(self.nodes)

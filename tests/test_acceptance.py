@@ -218,7 +218,7 @@ def test_hook_scenarios(report):
     # level 2, and leave variable 3 unassigned at that moment.
     solver = Solver(
         Formula(3, [(1, 2)]),
-        SolverConfig(ncb=True, heuristic="fixed_order", order=(1, 3, 2)),
+        SolverConfig(ncb=True, order=(1, 3, 2)),
     )
     stream = []
     unassigned_at_flip = None
@@ -263,16 +263,15 @@ def test_hook_scenarios(report):
 
     # Clause recording: the same run with recording on must add (-2) to the
     # instance and report the conflict against the recorded clause id.
-    out = solve(
-        make_base_formula(),
-        SolverConfig(cdb_1uip=True, ccr=True, collect_events=True),
-    )
+    solver = Solver(make_base_formula(), SolverConfig(cdb_1uip=True, ccr=True))
+    events = list(iter(solver.step, None))
+    out = solver.outcome
     clauses = [tuple(out.instance.clause(i)) for i in out.instance.ids()]
     if (-2,) not in clauses:
         failures.append("recorded clause (-2) missing from instance: %r" % clauses)
-    if Record(clause_id=5) not in out.events:
+    if Record(clause_id=5) not in events:
         failures.append("no recording event for clause 5")
-    if ConflictFound(clause_id=5) not in out.events:
+    if ConflictFound(clause_id=5) not in events:
         failures.append("conflict not re-reported against the recorded clause")
 
     report(

@@ -1,5 +1,7 @@
 """The public API: every exported name resolves, and the set is pinned, so an
 addition or a removal shows up in a diff of this file."""
+import dataclasses
+
 import proofsat
 
 PUBLIC_NAMES = {
@@ -39,7 +41,6 @@ PUBLIC_NAMES = {
     "init_refutation",
     "parse_dimacs",
     "parse_trace",
-    "resolve",
     "solve",
     "verify_model",
     "write_dimacs",
@@ -58,3 +59,17 @@ def test_every_exported_name_resolves():
 
 def test_proof_node_layout_is_pinned():
     assert proofsat.ProofNode._fields == ("id", "clause", "left", "right", "pivot")
+
+
+def test_solver_config_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(proofsat.SolverConfig)] == [
+        "mode",
+        "bcp",
+        "ncb",
+        "ncb_left_adjust",
+        "cdb_1uip",
+        "ccr",
+        "order",
+        "seed",
+        "debug_checks",
+    ]

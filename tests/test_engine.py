@@ -1,6 +1,8 @@
 """Search engine: frozen event streams, statistics, hook behaviour, and
 configuration validation.  Expected traces were derived by hand for the small
 formulas and pinned; any drift in the engine shows up as a diff here."""
+import random
+
 import pytest
 
 from proofsat import (
@@ -29,16 +31,18 @@ from conftest import make_base_formula
 
 
 def run(formula, **kw):
-    kw.setdefault("collect_events", True)
+    """The outcome of a debug-checked run and the events step() yielded."""
     kw.setdefault("debug_checks", True)
-    return solve(formula, SolverConfig(**kw))
+    solver = Solver(formula, SolverConfig(**kw))
+    events = list(iter(solver.step, None))
+    return solver.outcome, events
 
 
 class TestDefaultSearch:
     def test_direct_contradiction(self):
-        out = run(Formula(1, [(1,), (-1,)]))
+        out, events = run(Formula(1, [(1,), (-1,)]))
         assert out.verdict == "UNSAT"
-        assert out.events == [
+        assert events == [
             Decide(-1),
             ConflictFound(1),
             Flip(1),
@@ -54,9 +58,9 @@ class TestDefaultSearch:
         assert len(out.proof.node(3).clause) == 0
 
     def test_base_formula_full_stream(self):
-        out = run(make_base_formula())
+        out, events = run(make_base_formula())
         assert out.verdict == "UNSAT"
-        assert out.events == [
+        assert events == [
             Decide(-1),
             Decide(-2),
             ConflictFound(1),
@@ -88,7 +92,7 @@ class TestDefaultSearch:
         assert out.stats.final_proof_size == 5
 
     def test_base_formula_refutation_structure(self):
-        out = run(make_base_formula())
+        out, _ = run(make_base_formula())
         proof = out.proof
         assert proof.node_ids() == list(range(1, 10))
         five, six = proof.node(5), proof.node(6)
@@ -108,9 +112,9 @@ class TestDefaultSearch:
         assert report.size == 5
 
     def test_sat_stops_early_and_completes_model(self):
-        out = run(Formula(3, [(1,)]))
+        out, events = run(Formula(3, [(1,)]))
         assert out.verdict == "SAT"
-        assert out.events == [
+        assert events == [
             Decide(-1),
             ConflictFound(1),
             Flip(1),
@@ -122,9 +126,9 @@ class TestDefaultSearch:
         assert verify_model(out.instance, out.model)
 
     def test_sat_by_flip(self):
-        out = run(Formula(2, [(1, 2)]))
+        out, events = run(Formula(2, [(1, 2)]))
         assert out.verdict == "SAT"
-        assert out.events == [
+        assert events == [
             Decide(-1),
             Decide(-2),
             ConflictFound(1),
@@ -134,23 +138,23 @@ class TestDefaultSearch:
         assert out.model == {1: False, 2: True}
 
     def test_empty_formula(self):
-        out = run(Formula(2))
+        out, events = run(Formula(2))
         assert out.verdict == "SAT"
-        assert out.events == [Decide(-1), Sat()]
+        assert events == [Decide(-1), Sat()]
         assert out.model == {1: False, 2: False}
 
     def test_zero_variables(self):
-        out = run(Formula(0))
+        out, events = run(Formula(0))
         assert out.verdict == "SAT"
-        assert out.events == [Sat()]
+        assert events == [Sat()]
         assert out.model == {}
 
 
 class TestBcp:
     def test_base_formula_with_bcp(self):
-        out = run(make_base_formula(), bcp=True)
+        out, events = run(make_base_formula(), bcp=True)
         assert out.verdict == "UNSAT"
-        assert out.events == [
+        assert events == [
             Decide(-1),
             BcpDecide(-2),
             ConflictFound(1),
@@ -182,9 +186,9 @@ class TestBcp:
         # (1) is unit from the start: the pick assigns 1=False so the clause
         # blocks at once and the flip establishes 1=True with clause 1 as
         # its parent.
-        out = run(Formula(2, [(1,), (-1, 2)]), bcp=True)
+        out, events = run(Formula(2, [(1,), (-1, 2)]), bcp=True)
         assert out.verdict == "SAT"
-        assert out.events[:3] == [BcpDecide(-1), ConflictFound(1), Flip(1)]
+        assert events[:3] == [BcpDecide(-1), ConflictFound(1), Flip(1)]
         assert out.model == {1: True, 2: True}
 
     def test_unfalsified_recorded_clause_becomes_a_unit_pick(self):
@@ -208,14 +212,9 @@ class TestNcb:
         # variables of the only clause; the conflict's parent mentions
         # variables 1 and 2 only, so backtracking re-seats the flip at
         # level 2 and variable 3 comes back unassigned.
-        out = run(
-            Formula(3, [(1, 2)]),
-            ncb=True,
-            heuristic="fixed_order",
-            order=(1, 3, 2),
-        )
+        out, events = run(Formula(3, [(1, 2)]), ncb=True, order=(1, 3, 2))
         assert out.verdict == "SAT"
-        assert out.events == [
+        assert events == [
             Decide(-1),
             Decide(-3),
             Decide(-2),
@@ -233,14 +232,14 @@ class TestNcb:
     def test_no_jump_when_parent_is_adjacent(self):
         # On the base formula every conflict parent mentions the level right
         # below, so enabling the hook changes nothing.
-        plain = run(make_base_formula())
-        ncb = run(make_base_formula(), ncb=True)
-        assert ncb.events == plain.events
+        plain, plain_events = run(make_base_formula())
+        ncb, ncb_events = run(make_base_formula(), ncb=True)
+        assert ncb_events == plain_events
         assert ncb.stats.ncb_jumps == 0
         assert ncb.stats.as_dict() == plain.stats.as_dict()
 
     def test_left_adjust_variant_solves_and_checks(self):
-        out = run(make_base_formula(), ncb=True, ncb_left_adjust=True)
+        out, _ = run(make_base_formula(), ncb=True, ncb_left_adjust=True)
         assert out.verdict == "UNSAT"
         report = check_refutation(out.proof, out.instance)
         assert report.valid and report.complete
@@ -248,9 +247,9 @@ class TestNcb:
 
 class TestCdb:
     def test_substitution_stream(self):
-        out = run(make_base_formula(), cdb_1uip=True)
+        out, events = run(make_base_formula(), cdb_1uip=True)
         assert out.verdict == "UNSAT"
-        assert out.events == [
+        assert events == [
             Decide(-1),
             Decide(-2),
             ConflictFound(1),
@@ -277,7 +276,7 @@ class TestCdb:
         assert out.stats.final_proof_size == 3
 
     def test_substituted_refutation_structure(self):
-        proof = run(make_base_formula(), cdb_1uip=True).proof
+        proof = run(make_base_formula(), cdb_1uip=True)[0].proof
         assert proof.node(5).clause == Clause([-2])
         six = proof.node(6)
         assert (six.clause, six.left, six.right, six.pivot) == (Clause([2]), 1, 4, 1)
@@ -287,11 +286,11 @@ class TestCdb:
 
 class TestCcr:
     def test_recorded_clause_stream_and_instance(self):
-        out = run(make_base_formula(), cdb_1uip=True, ccr=True)
+        out, events = run(make_base_formula(), cdb_1uip=True, ccr=True)
         assert out.verdict == "UNSAT"
-        assert Record(clause_id=5) in out.events
-        assert ConflictFound(clause_id=5) in out.events
-        assert ConflictFound(clause_id=None) not in out.events
+        assert Record(clause_id=5) in events
+        assert ConflictFound(clause_id=5) in events
+        assert ConflictFound(clause_id=None) not in events
         assert out.stats.recorded_clauses == 1
         assert [tuple(out.instance.clause(i)) for i in out.instance.ids()] == [
             (1, 2),
@@ -302,36 +301,36 @@ class TestCcr:
         ]
 
     def test_stream_matches_plain_cdb_except_recording(self):
-        plain = run(make_base_formula(), cdb_1uip=True)
-        ccr = run(make_base_formula(), cdb_1uip=True, ccr=True)
+        _, plain_events = run(make_base_formula(), cdb_1uip=True)
+        _, ccr_events = run(make_base_formula(), cdb_1uip=True, ccr=True)
         expected = []
-        for ev in plain.events:
+        for ev in plain_events:
             if ev == ConflictFound(None):
                 expected.append(Record(clause_id=5))
                 expected.append(ConflictFound(clause_id=5))
             else:
                 expected.append(ev)
-        assert ccr.events == expected
+        assert ccr_events == expected
 
     def test_caller_formula_not_mutated(self):
         f = make_base_formula()
-        out = run(f, cdb_1uip=True, ccr=True)
+        out, _ = run(f, cdb_1uip=True, ccr=True)
         assert len(f) == 4
         assert len(out.instance) == 5
 
     def test_duplicate_clauses_not_recorded_twice(self):
-        out = run(make_base_formula(), ccr=True)
+        out, _ = run(make_base_formula(), ccr=True)
         recorded = [tuple(out.instance.clause(i)) for i in out.instance.ids()][4:]
         assert len(set(recorded)) == len(recorded)
 
 
 class TestAllHooks:
     def test_combined_stream(self):
-        out = run(
+        out, events = run(
             make_base_formula(), bcp=True, ncb=True, cdb_1uip=True, ccr=True
         )
         assert out.verdict == "UNSAT"
-        assert out.events == [
+        assert events == [
             Decide(-1),
             BcpDecide(-2),
             ConflictFound(1),
@@ -360,9 +359,9 @@ class TestAllHooks:
 
 class TestOtherModes:
     def test_dll_direct_contradiction(self):
-        out = run(Formula(3, [(1,), (-1,)]), mode=MODE_DLL)
+        out, events = run(Formula(3, [(1,), (-1,)]), mode=MODE_DLL)
         assert out.verdict == "UNSAT"
-        assert out.events == [
+        assert events == [
             Decide(-1),
             ConflictFound(1),
             Flip(1),
@@ -374,16 +373,16 @@ class TestOtherModes:
         assert out.proof is None and out.graph is None
 
     def test_tae_explores_everything(self):
-        out = run(Formula(3, [(1,), (-1,)]), mode=MODE_TAE)
+        out, _ = run(Formula(3, [(1,), (-1,)]), mode=MODE_TAE)
         assert out.verdict == "UNSAT"
         assert out.stats.decisions == 2 ** 3 - 1
         assert out.stats.conflicts == 2 ** 3
         assert out.proof is None
 
     def test_tae_finds_models_only_at_leaves(self):
-        out = run(Formula(2, [(1, 2)]), mode=MODE_TAE)
+        out, events = run(Formula(2, [(1, 2)]), mode=MODE_TAE)
         assert out.verdict == "SAT"
-        assert out.events == [
+        assert events == [
             Decide(-1),
             Decide(-2),
             ConflictFound(1),
@@ -394,35 +393,42 @@ class TestOtherModes:
     def test_modes_agree_on_verdicts(self):
         for f in (make_base_formula(), Formula(2, [(1, 2)]), Formula(2)):
             verdicts = {
-                run(f, mode=m).verdict for m in (MODE_SSS, MODE_DLL, MODE_TAE)
+                run(f, mode=m)[0].verdict for m in (MODE_SSS, MODE_DLL, MODE_TAE)
             }
             assert len(verdicts) == 1
 
 
 class TestHeuristics:
     def test_fixed_order_controls_decisions(self):
-        out = run(
-            Formula(3, [(1, 2)]), heuristic="fixed_order", order=(2, 3, 1)
-        )
-        assert out.events[0] == Decide(-2)
+        _, events = run(Formula(3, [(1, 2)]), order=(2, 3, 1))
+        assert events[0] == Decide(-2)
 
     def test_fixed_order_falls_back_to_ascending(self):
-        out = run(Formula(3, [(3, 1)]), heuristic="fixed_order", order=(3,))
-        assert [e for e in out.events if isinstance(e, Decide)][:2] == [
+        _, events = run(Formula(3, [(3, 1)]), order=(3,))
+        assert [e for e in events if isinstance(e, Decide)][:2] == [
             Decide(-3),
             Decide(-1),
         ]
 
+    def test_seed_alone_picks_the_random_heuristic(self):
+        rng = random.Random(5)
+        var = rng.choice([1, 2, 3, 4])
+        first = Decide(var if rng.random() < 0.5 else -var)
+        _, events = run(make_base_formula(), seed=5)
+        _, ascending = run(make_base_formula())
+        assert events[0] == first != ascending[0]
+        assert events != ascending
+
     def test_random_heuristic_deterministic_under_seed(self):
         f = make_base_formula()
-        a = run(f, heuristic="random", seed=11)
-        b = run(f, heuristic="random", seed=11)
-        assert a.events == b.events
+        a, a_events = run(f, seed=11)
+        b, b_events = run(f, seed=11)
+        assert a_events == b_events
         assert a.stats.as_dict() == b.stats.as_dict()
 
     def test_random_heuristic_still_refutes(self):
         for seed in range(5):
-            out = run(make_base_formula(), heuristic="random", seed=seed)
+            out, _ = run(make_base_formula(), seed=seed)
             assert out.verdict == "UNSAT"
             report = check_refutation(out.proof, out.instance)
             assert report.valid and report.complete
@@ -437,15 +443,21 @@ class TestStepApi:
             if ev is None:
                 break
             seen.append(ev)
-        assert seen == run(make_base_formula()).events
-        assert solver.outcome.verdict == "UNSAT"
+        assert seen == run(make_base_formula())[1]
+        assert (len(seen), seen[-1]) == (23, Unsat())
+        solved = solve(make_base_formula())
+        assert solver.outcome.stats == solved.stats
+        assert solver.outcome.proof == solved.proof
 
-    def test_solve_after_steps_collects_the_whole_stream(self):
-        full = run(make_base_formula()).events
-        solver = Solver(make_base_formula(), SolverConfig(collect_events=True))
+    def test_solve_after_steps_finishes_the_same_run(self):
+        solver = Solver(make_base_formula())
         first = [solver.step() for _ in range(3)]
-        assert first == full[:3]
-        assert solver.solve().events == full
+        out = solver.solve()
+        assert first == run(make_base_formula())[1][:3]
+        solved = solve(make_base_formula())
+        assert out.stats == solved.stats
+        assert out.proof == solved.proof
+        assert solver.step() is None
 
     def test_drained_solver_keeps_returning_none(self):
         solver = Solver(Formula(1, [(1,)]))
@@ -453,17 +465,12 @@ class TestStepApi:
         assert solver.step() is None
         assert solver.solve().verdict == "SAT"  # idempotent after draining
 
-    def test_events_not_collected_by_default(self):
-        out = solve(make_base_formula())
-        assert out.events is None
-
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kw",
         [
             {"mode": "cdcl"},
-            {"heuristic": "vsids"},
             {"mode": MODE_TAE, "bcp": True},
             {"mode": MODE_TAE, "ncb": True},
             {"mode": MODE_TAE, "cdb_1uip": True},
@@ -473,10 +480,11 @@ class TestConfigValidation:
             {"mode": MODE_DLL, "cdb_1uip": True},
             {"mode": MODE_DLL, "ccr": True},
             {"ncb_left_adjust": True},
-            {"heuristic": "fixed_order"},
-            {"heuristic": "fixed_order", "order": (1, 1)},
-            {"heuristic": "fixed_order", "order": (0, 1)},
-            {"order": (1, 2)},
+            {"order": (1, 1)},
+            {"order": (0, 1)},
+            {"order": (1, 2.5)},
+            {"order": (True, 2)},
+            {"order": (1, 2), "seed": 5},
         ],
     )
     def test_invalid_configs_rejected(self, kw):
@@ -484,18 +492,18 @@ class TestConfigValidation:
             SolverConfig(**kw)
 
     def test_dll_allows_bcp(self):
-        out = run(make_base_formula(), mode=MODE_DLL, bcp=True)
+        out, _ = run(make_base_formula(), mode=MODE_DLL, bcp=True)
         assert out.verdict == "UNSAT"
 
     def test_order_must_fit_formula(self):
-        config = SolverConfig(heuristic="fixed_order", order=(1, 9))
+        config = SolverConfig(order=(1, 9))
         with pytest.raises(ValueError):
             Solver(Formula(3, [(1,)]), config)
 
 
 class TestStatsAndModel:
     def test_as_dict_keys(self):
-        assert sorted(run(Formula(1, [(1,)])).stats.as_dict()) == sorted(
+        assert sorted(run(Formula(1, [(1,)]))[0].stats.as_dict()) == sorted(
             [
                 "decisions",
                 "flips",

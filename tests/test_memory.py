@@ -54,7 +54,7 @@ def test_certify_path_peak():
 
 
 def test_unused_variables_cost_no_occurrence_lists():
-    # About 64 bytes per declared variable: eight pointer-sized slots, one
+    # About 56 bytes per declared variable: seven pointer-sized slots, one
     # per per-variable list of the solver (trail, values, occurrences).
     formula = Formula(200_000, [(1,), (2,)])
     peak = traced_peak(lambda: Solver(formula))

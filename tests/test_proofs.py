@@ -10,9 +10,8 @@ from proofsat import (
     export_trace,
     init_refutation,
     parse_trace,
-    resolve,
 )
-from proofsat.proofs import ProofNode, _source
+from proofsat.proofs import ProofNode, _oriented_set, _resolvent_set, _source
 
 from conftest import make_base_formula, make_shared_node_refutation
 
@@ -29,13 +28,14 @@ r 8 1 6 7 0
 
 
 class TestPivotAndResolve:
-    def test_resolve_requires_positive_then_negative(self):
-        assert resolve(Clause([1, 2]), Clause([-2, 3]), 2) == Clause([1, 3])
+    def test_oriented_set_takes_either_premise_order(self):
+        assert _oriented_set((1, 2), (-2, 3), 2) == {1, 3}
+        assert _oriented_set((-2, 3), (1, 2), 2) == {1, 3}
         with pytest.raises(ValueError):
-            resolve(Clause([-2, 3]), Clause([1, 2]), 2)
+            _oriented_set((1, 2), (2, 3), 2)
 
     def test_resolve_unit_pair_gives_empty_clause(self):
-        assert resolve(Clause([1]), Clause([-1]), 1) == Clause([])
+        assert _resolvent_set((1,), (-1,), 1) == set()
 
 
 class TestRefutationGraph:

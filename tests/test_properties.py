@@ -3,7 +3,7 @@ refutation checks out, and the bookkeeping identities hold.  The heavy
 lifting happens once in the session-scoped sweep fixture."""
 import pytest
 
-from proofsat import SolverConfig, solve
+from proofsat import Solver, SolverConfig, solve
 from proofsat.engine import MODE_SSS
 
 from conftest import corpus_formula
@@ -86,19 +86,18 @@ class TestDeterminism:
         [
             {},
             {"bcp": True, "ncb": True, "cdb_1uip": True, "ccr": True},
-            {"heuristic": "random", "seed": 5},
+            {"seed": 5},
         ],
         ids=["defaults", "all_hooks", "random_heuristic"],
     )
     def test_identical_runs_produce_identical_streams(self, kw):
         for seed in range(0, 60, 7):
             f = corpus_formula(seed)
-            config = SolverConfig(collect_events=True, **kw)
-            a = solve(f, config)
-            b = solve(f, config)
-            assert a.events == b.events
-            assert a.stats.as_dict() == b.stats.as_dict()
-            assert a.verdict == b.verdict
+            config = SolverConfig(**kw)
+            a, b = Solver(f, config), Solver(f, config)
+            assert list(iter(a.step, None)) == list(iter(b.step, None))
+            assert a.outcome.stats.as_dict() == b.outcome.stats.as_dict()
+            assert a.outcome.verdict == b.outcome.verdict
 
 
 class TestPruningAccounting:

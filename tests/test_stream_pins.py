@@ -1,8 +1,8 @@
 """Pinned behaviour past the oracle's reach.
 
 Each run below is reduced to one SHA-256 over its verdict, its
-``Stats.as_dict()``, its collected event stream, its model and the
-``export_trace`` bytes of its refutation.  The digests were computed before
+``Stats.as_dict()``, the event stream ``Solver.step()`` yields, its model
+and the ``export_trace`` bytes of its refutation.  The digests were computed before
 unit-clause selection became incremental, so any change to the order in which
 unit clauses are picked, or to the bookkeeping behind it, shows up here even on
 formulas too large for the brute-force oracle.  Debug checks are on, so every
@@ -20,7 +20,7 @@ import itertools
 
 import pytest
 
-from proofsat import Formula, SolverConfig, export_trace, gen_random_kcnf, solve
+from proofsat import Formula, Solver, SolverConfig, export_trace, gen_random_kcnf
 from proofsat.cli import _config_label
 from proofsat.engine import MODE_DLL, MODE_TAE
 
@@ -61,12 +61,14 @@ FORMULAS = {
 
 
 def run_digest(formula: Formula, config: SolverConfig) -> str:
-    out = solve(formula, config)
+    solver = Solver(formula, config)
+    events = list(iter(solver.step, None))
+    out = solver.outcome
     h = hashlib.sha256()
     for part in (
         out.verdict,
         repr(out.stats.as_dict()),
-        repr(out.events),
+        repr(events),
         repr(sorted(out.model.items())) if out.model is not None else "",
         export_trace(out.proof) if out.proof is not None else "",
     ):
@@ -124,7 +126,7 @@ def digests(fname: str) -> dict:
     factory, configs = FORMULAS[fname]
     formula = factory()
     return {
-        label: run_digest(formula, SolverConfig(collect_events=True, debug_checks=True, **kw))
+        label: run_digest(formula, SolverConfig(debug_checks=True, **kw))
         for label, kw in configs.items()
     }
 
