@@ -45,10 +45,10 @@ class Clause:
 
     @classmethod
     def _trusted(cls, lits: Iterable[Literal]) -> "Clause":
-        """The clause over ``lits``, distinct literals already known to be
-        nonzero ints, built without checking each literal again."""
+        """The clause over ``lits``: distinct nonzero ints, none with its
+        negation, so sorting by variable alone is ``_ordered``'s order."""
         clause = object.__new__(cls)
-        clause._lits = _ordered(lits)
+        clause._lits = tuple(sorted(lits, key=abs))
         return clause
 
     @property
@@ -167,11 +167,20 @@ def parse_dimacs(text: str) -> Formula:
             continue
         if formula is None:
             raise ValueError("line %d: clause data before header" % line_no)
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ValueError("line %d: bad token %r" % (line_no, tok))
+        tokens = line.split()
+        try:
+            values, bad = list(map(int, tokens)), None
+        except ValueError:
+            # Process the tokens before the bad one first, so that an
+            # earlier fault on the line is the one reported.
+            values = []
+            for tok in tokens:
+                try:
+                    values.append(int(tok))
+                except ValueError:
+                    bad = tok
+                    break
+        for lit in values:
             if lit == 0:
                 if not current:
                     raise ValueError("line %d: empty clause" % line_no)
@@ -184,8 +193,8 @@ def parse_dimacs(text: str) -> Formula:
                     )
                 if _tautological(lits):
                     formula.tautologies_dropped += 1
-                else:
-                    formula.add_clause(Clause._trusted(lits))  # parsed, nonzero
+                else:  # nonzero, in range, not tautological: add_clause's checks hold
+                    formula.clauses.append(Clause._trusted(lits))
             else:
                 if abs(lit) > num_vars:
                     raise ValueError(
@@ -193,6 +202,8 @@ def parse_dimacs(text: str) -> Formula:
                         % (line_no, lit, num_vars)
                     )
                 current.append(lit)
+        if bad is not None:
+            raise ValueError("line %d: bad token %r" % (line_no, bad))
     if formula is None:
         raise ValueError("missing 'p cnf' header")
     if current:

@@ -25,8 +25,9 @@ flips are never decisions.  A decision that no feature forces follows
 ``SolverConfig.seed`` when that is set, and otherwise assigns the lowest
 unassigned variable false.
 
-Each driver is one generator of step events; ``Solver.step()`` returns the
-next event and ``Solver.solve()`` runs the rest of them.
+Each driver is one generator of ``(EventClass, *args)`` tuples;
+``Solver.step()`` builds the event of the next one on demand, and
+``Solver.solve()`` runs the rest of them without building any event.
 """
 from __future__ import annotations
 
@@ -173,6 +174,8 @@ class SolverConfig:
                     raise ValueError("mode dll_strict does not support %s" % name)
         if self.ncb_left_adjust and not self.ncb:
             raise ValueError("ncb_left_adjust requires ncb")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, type(None))):
+            raise ValueError("seed must be an int or None, got %r" % (self.seed,))
         if self.order and self.seed is not None:
             raise ValueError("order and seed are mutually exclusive")
         for v in self.order:
@@ -248,7 +251,7 @@ class Solver:
 
         # Clause state, indexed by clause id - 1.
         self.clause_lits: List[Tuple[Literal, ...]] = [
-            self.formula.clause(cid).literals for cid in self.formula.ids()
+            clause.literals for clause in self.formula.clauses
         ]
         # The instance's clauses, which hash and compare as literal sets, so
         # recording skips a duplicate in O(1); nothing else reads it.
@@ -305,9 +308,9 @@ class Solver:
             if self.config.seed is not None
             else None
         )
-        # The run's events; the generator starts at the first step.
+        # The run's (EventClass, *args) tuples, from the first step on.
         run = self._run_sss if self.config.mode == MODE_SSS else self._run_chronological
-        self._events: Iterator[StepEvent] = run()
+        self._events: Iterator[tuple] = run()
 
     # -- public API -------------------------------------------------------
 
@@ -319,7 +322,8 @@ class Solver:
 
     def step(self) -> Optional[StepEvent]:
         """Advance by one event; None once the run has finished."""
-        return next(self._events, None)
+        item = next(self._events, None)
+        return None if item is None else item[0](*item[1:])
 
     # -- assignment machinery --------------------------------------------
 
@@ -461,17 +465,17 @@ class Solver:
 
     # -- mode drivers -----------------------------------------------------
 
-    def _decide(self) -> StepEvent:
+    def _decide(self) -> tuple:
         var, value, via_bcp = self._choose_new_literal()
         self._push(var, value)
         lit = var if value else -var
         self.stats.decisions += 1
         if via_bcp:
             self.stats.bcp_implications += 1
-            return BcpDecide(lit)
-        return Decide(lit)
+            return (BcpDecide, lit)
+        return (Decide, lit)
 
-    def _run_chronological(self) -> Iterator[StepEvent]:
+    def _run_chronological(self) -> Iterator[tuple]:
         """tae and dll_strict: decide, and while a clause is falsified,
         flip the deepest unflipped level after popping the flipped ones
         above it.  dll_strict tests the clauses after every decision, tae
@@ -486,19 +490,19 @@ class Solver:
                 return
             yield self._decide()
             while self.falsified and (not leaves_only or self.d == self.n):
-                yield ConflictFound(min(self.falsified))
+                yield (ConflictFound, min(self.falsified))
                 self.stats.conflicts += 1
                 while self.d > 0 and self.trail_flipped[self.d]:
-                    yield BacktrackSkipRight(self.d)
+                    yield (BacktrackSkipRight, self.d)
                     self._pop()
                 if self.d == 0:
                     yield self._finish_unsat(None)
                     return
                 self._flip_top()
                 self.stats.flips += 1
-                yield Flip(self.d)
+                yield (Flip, self.d)
 
-    def _run_sss(self) -> Iterator[StepEvent]:
+    def _run_sss(self) -> Iterator[tuple]:
         cfg = self.config
         np_node = 0
         np_lits: Optional[Tuple[Literal, ...]] = None
@@ -523,19 +527,19 @@ class Solver:
             while True:
                 if np_lits is not None and all(self._lit_false(l) for l in np_lits):
                     parent_node, parent_lits = np_node, np_lits
-                    yield ConflictFound(np_clause_id)
+                    yield (ConflictFound, np_clause_id)
                 elif self.falsified:
                     blocking = min(self.falsified)
                     parent_node = self.clause_node[blocking - 1]
                     parent_lits = self.clause_lits[blocking - 1]
-                    yield ConflictFound(blocking)
+                    yield (ConflictFound, blocking)
                 else:
                     break
                 self.stats.conflicts += 1
                 if cfg.ncb:
                     move = self._ncb_target(parent_lits)
                     if move is not None:
-                        yield NcbJump(move[0], move[1])
+                        yield (NcbJump, *move)
                 d = self.d
                 if cfg.debug_checks and self.trail_parent[d] not in (0, parent_node):
                     raise InvariantViolation(
@@ -545,12 +549,12 @@ class Solver:
                 self.trail_parent[d] = parent_node
                 self._flip_top()
                 self.stats.flips += 1
-                yield Flip(d)
+                yield (Flip, d)
                 if cfg.debug_checks:
                     self._check_flip_parent(d, parent_lits)
                 if self.falsified:
                     r = min(self.falsified)
-                    yield ConflictFound(r)
+                    yield (ConflictFound, r)
                     self.stats.conflicts += 1
                     np_node = self.clause_node[r - 1]
                     np_lits = self.clause_lits[r - 1]
@@ -588,28 +592,28 @@ class Solver:
                 np_node = new_id
                 np_lits = self.graph.nodes[new_id].clause.literals
                 np_clause_id = None
-                yield BacktrackResolve(new_id)
+                yield (BacktrackResolve, new_id)
             elif flipped:
                 self.stats.pruned_resolution += self._abandon(self.trail_parent[d])
-                yield BacktrackSkipRight(d)
+                yield (BacktrackSkipRight, d)
             else:
                 if self.trail_parent[d]:
                     # a substituted level being popped: its pre-set parent
                     # derivation is lost with it
                     self.stats.pruned_resolution += self._abandon(self.trail_parent[d])
-                yield BacktrackSkipLeft(d)
+                yield (BacktrackSkipLeft, d)
             self._pop()
             if cfg.cdb_1uip:
                 sub = self._cdb_try(np_node, np_lits)
                 if sub is not None:
                     self.stats.cdb_substitutions += 1
-                    yield CdbSubstitute(sub[0], sub[1])
+                    yield (CdbSubstitute, *sub)
         if cfg.ccr and self.d > 0:
             recorded = self._ccr_record(np_node, np_lits)
             if recorded is not None:
                 np_clause_id = recorded
                 self.stats.recorded_clauses += 1
-                yield Record(recorded)
+                yield (Record, recorded)
         return (np_node, np_lits, np_clause_id)
 
     # -- feature hooks ----------------------------------------------------
@@ -787,7 +791,7 @@ class Solver:
 
     # -- termination ------------------------------------------------------
 
-    def _finish_sat(self) -> StepEvent:
+    def _finish_sat(self) -> tuple:
         model = {
             v: (self.val[v] if self.val[v] is not None else False)
             for v in range(1, self.n + 1)
@@ -801,9 +805,9 @@ class Solver:
             graph=self.graph,
             instance=self.formula,
         )
-        return Sat()
+        return (Sat,)
 
-    def _finish_unsat(self, root: Optional[int]) -> StepEvent:
+    def _finish_unsat(self, root: Optional[int]) -> tuple:
         proof = None
         if self.graph is not None and root is not None:
             if self.config.debug_checks and len(self.graph.nodes[root].clause) != 0:
@@ -829,7 +833,7 @@ class Solver:
             root=root,
             instance=self.formula,
         )
-        return Unsat()
+        return (Unsat,)
 
     # -- debug invariants -------------------------------------------------
 

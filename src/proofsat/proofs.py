@@ -209,8 +209,8 @@ class RefutationGraph:
 def init_refutation(formula: Formula) -> RefutationGraph:
     """One source node per formula clause, ids matching clause ids."""
     graph = RefutationGraph()
-    for cid in formula.ids():
-        graph.add_source(formula.clause(cid), cid)
+    graph.nodes = {cid: ProofNode(cid, c) for cid, c in enumerate(formula.clauses, 1)}
+    graph._next_id = len(graph.nodes) + 1
     return graph
 
 

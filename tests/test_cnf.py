@@ -115,6 +115,31 @@ class TestDimacs:
         with pytest.raises(ValueError):
             parse_dimacs(text)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # Two faults on one line: the first in line order is reported.
+            ("p cnf 1 1\n5 x 0\n", "line 2: literal 5 exceeds"),
+            ("p cnf 1 1\nx 5 0\n", "line 2: bad token 'x'"),
+            ("p cnf 2 1\n1 0 2 0 x\n", "more clauses than the 1 declared"),
+            ("p cnf 2 2\n1 0 0 x\n", "line 2: empty clause"),
+            ("p cnf 2 2\n1 0 3 0\n", "line 2: literal 3 exceeds"),
+        ],
+    )
+    def test_first_fault_on_a_line_is_reported(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_dimacs(text)
+
+    def test_clause_layouts_parse_to_the_same_formula(self):
+        # A clause split over lines, several clauses on one line and a
+        # tautology (dropped, still counted) give the formula the
+        # clause-by-clause reading gives.
+        text = "p cnf 4 5\n1 -2\n3 0 -1 2 0 4 -4 2 0\n-3\n\n-4 0 2 0\n"
+        f = parse_dimacs(text)
+        assert f == Formula(4, [(1, -2, 3), (-1, 2), (-3, -4), (2,)])
+        assert [c.literals for c in f.clauses] == [(1, -2, 3), (-1, 2), (-3, -4), (2,)]
+        assert f.tautologies_dropped == 1
+
     def test_error_messages_carry_line_numbers(self):
         with pytest.raises(ValueError, match="line 3"):
             parse_dimacs("c x\np cnf 1 1\nbad 0\n")

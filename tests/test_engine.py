@@ -2,6 +2,7 @@
 configuration validation.  Expected traces were derived by hand for the small
 formulas and pinned; any drift in the engine shows up as a diff here."""
 import random
+import typing
 
 import pytest
 
@@ -20,14 +21,24 @@ from proofsat import (
     Sat,
     Solver,
     SolverConfig,
+    StepEvent,
     Unsat,
     check_refutation,
+    export_trace,
     solve,
     verify_model,
 )
+from proofsat.cli import _RANDOM_SWEEP_COMBOS, _config_label
 from proofsat.engine import MODE_DLL, MODE_SSS, MODE_TAE
 
 from conftest import make_base_formula
+
+# The 16 sss configurations of the CLI's random sweep, then tae and
+# dll_strict.
+SWEEP_CONFIGS = [
+    SolverConfig(bcp=bcp, ncb=ncb, cdb_1uip=cdb, ccr=ccr)
+    for bcp, ncb, cdb, ccr in _RANDOM_SWEEP_COMBOS
+] + [SolverConfig(mode=MODE_TAE), SolverConfig(mode=MODE_DLL)]
 
 
 def run(formula, **kw):
@@ -450,14 +461,25 @@ class TestStepApi:
         assert solver.outcome.proof == solved.proof
 
     def test_solve_after_steps_finishes_the_same_run(self):
-        solver = Solver(make_base_formula())
-        first = [solver.step() for _ in range(3)]
-        out = solver.solve()
-        assert first == run(make_base_formula())[1][:3]
+        stream = run(make_base_formula())[1]
         solved = solve(make_base_formula())
-        assert out.stats == solved.stats
-        assert out.proof == solved.proof
-        assert solver.step() is None
+        for k in (0, 1, 3, 7, 22, 23):
+            solver = Solver(make_base_formula())
+            first = [solver.step() for _ in range(k)]
+            out = solver.solve()
+            assert first == stream[:k]
+            assert out.stats == solved.stats
+            assert out.proof == solved.proof
+            assert export_trace(out.proof) == export_trace(solved.proof)
+            assert solver.step() is None
+
+    @pytest.mark.parametrize("config", SWEEP_CONFIGS, ids=_config_label)
+    def test_step_yields_event_objects_in_every_configuration(self, config):
+        events = list(iter(Solver(make_base_formula(), config).step, None))
+        assert events
+        for event in events:
+            assert not isinstance(event, tuple)
+            assert isinstance(event, typing.get_args(StepEvent))
 
     def test_drained_solver_keeps_returning_none(self):
         solver = Solver(Formula(1, [(1,)]))
@@ -485,6 +507,9 @@ class TestConfigValidation:
             {"order": (1, 2.5)},
             {"order": (True, 2)},
             {"order": (1, 2), "seed": 5},
+            {"seed": [1]},
+            {"seed": 2.5},
+            {"seed": True},
         ],
     )
     def test_invalid_configs_rejected(self, kw):

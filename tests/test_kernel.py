@@ -54,13 +54,14 @@ def reference_oriented(left, right, v):
 
 
 def _resolvent(d1, d2, v):
-    """The resolvent of d1 (holding +v) and d2 (holding -v) on v."""
-    return Clause._trusted(_resolvent_set(d1.literals, d2.literals, v))
+    """The resolvent of d1 (holding +v) and d2 (holding -v) on v; a
+    tautological one is kept, so ``Clause`` orders it."""
+    return Clause(_resolvent_set(d1.literals, d2.literals, v))
 
 
 def _oriented_resolvent(left, right, v):
     """The resolvent of two clauses on v, taking either premise order."""
-    return Clause._trusted(_oriented_set(left.literals, right.literals, v))
+    return Clause(_oriented_set(left.literals, right.literals, v))
 
 
 def rearranged(lits):
@@ -86,6 +87,18 @@ def test_clause_order_matches_the_keyed_sort(lits):
     clause = Clause(lits)
     assert clause.literals == reference_order(lits)
     assert _tautological(set(clause.literals)) == any(-lit in lits for lit in lits)
+
+
+@kernel_settings
+@given(literal_lists)
+def test_trusted_clause_matches_clause_without_tautologies(lits):
+    # Clause._trusted orders by variable alone, which is only the full
+    # order when no literal comes with its negation.
+    distinct = set(lits)
+    if _tautological(distinct):
+        return
+    trusted = Clause._trusted(distinct)
+    assert trusted.literals == Clause(lits).literals == reference_order(lits)
 
 
 @kernel_settings
