@@ -284,7 +284,7 @@ class Solver:
         self.val: List[Optional[bool]] = [None] * (self.n + 1)
         self.level_of: List[int] = [0] * (self.n + 1)
         self.trail_var: List[int] = [0] * (self.n + 1)
-        self.trail_flipped: List[bool] = [False] * (self.n + 1)
+        self.trail_flipped = bytearray(self.n + 1)  # 1 where the level is flipped
         self.trail_parent: List[int] = [0] * (self.n + 1)
         self.d = 0
 
@@ -297,10 +297,10 @@ class Solver:
             self.clause_node = []
         self.recorded_nodes: set = set()
         self.pruned_marks: set = set()
-        # Resolvents already consumed as a premise.  Each resolvent is
-        # consumed at most once, which keeps every backtracking clause
-        # derivation a tree as long as no clause is recorded; the debug
-        # checks verify the discipline.
+        # Resolvents already consumed as a premise, filled under
+        # debug_checks only.  Each resolvent is consumed at most once, which
+        # keeps every backtracking clause derivation a tree as long as no
+        # clause is recorded; the debug checks verify the discipline.
         self.consumed: set = set()
 
         self._rng = (
@@ -393,7 +393,7 @@ class Solver:
         self.d += 1
         d = self.d
         self.trail_var[d] = var
-        self.trail_flipped[d] = False
+        self.trail_flipped[d] = 0
         self.trail_parent[d] = 0
         self._assign(var, value, d)
 
@@ -408,7 +408,7 @@ class Solver:
         value = self.val[var]
         self._unassign(var)
         self._assign(var, not value, d)
-        self.trail_flipped[d] = True
+        self.trail_flipped[d] = 1
 
     # -- literal/choice helpers ------------------------------------------
 
@@ -585,9 +585,6 @@ class Solver:
                 if cfg.debug_checks:
                     self._check_premises_fresh(self.trail_parent[d], np_node)
                 new_id = self.graph.add_node(self.trail_parent[d], np_node, var)
-                for premise in (self.trail_parent[d], np_node):
-                    if not self.graph.nodes[premise].is_source:
-                        self.consumed.add(premise)
                 self.stats.nodes_added += 1
                 np_node = new_id
                 np_lits = self.graph.nodes[new_id].clause.literals
@@ -805,6 +802,7 @@ class Solver:
             graph=self.graph,
             instance=self.formula,
         )
+        self._release()
         return (Sat,)
 
     def _finish_unsat(self, root: Optional[int]) -> tuple:
@@ -833,7 +831,13 @@ class Solver:
             root=root,
             instance=self.formula,
         )
+        self._release()
         return (Unsat,)
+
+    def _release(self) -> None:
+        """Drop the search state; keep the configuration and the outcome."""
+        kept = ("config", "_events", "outcome", "stats", "formula", "graph")
+        self.__dict__ = {name: self.__dict__[name] for name in kept}
 
     # -- debug invariants -------------------------------------------------
 
@@ -909,7 +913,7 @@ class Solver:
     def _check_premises_fresh(self, left: int, right: int) -> None:
         """A recorded-clause node stays live in the instance and may be
         consumed repeatedly (its derivation becomes shared); any other
-        resolvent must be consumed at most once."""
+        resolvent must be consumed at most once, and is marked when it is."""
         for premise in (left, right):
             if premise in self.recorded_nodes:
                 continue
@@ -923,6 +927,8 @@ class Solver:
                 raise InvariantViolation(
                     "resolvent %d resolved after being pruned" % premise
                 )
+            if not self.graph.nodes[premise].is_source:
+                self.consumed.add(premise)
 
     def _check_pruning_partition(self, proof: RefutationGraph) -> None:
         proof_resolvents = {

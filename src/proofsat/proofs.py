@@ -17,7 +17,7 @@ an 'r' record with an empty literal list (the empty clause).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set
 
 from .cnf import Clause, Formula, Literal, Variable, _tautological
 
@@ -120,8 +120,8 @@ class RefutationGraph:
 
     def _claim_id(self, wanted: Optional[int]) -> int:
         if wanted is None:
-            return self._next_id
-        if wanted < 1:
+            wanted = self._next_id
+        elif wanted < 1:
             raise ValueError("node id must be positive")
         if wanted in self.nodes:
             raise ValueError("node id %d already used" % wanted)
@@ -153,7 +153,9 @@ class RefutationGraph:
         """
         nid = self._claim_id(node_id)
         lits = _derive(self.nodes, nid, left_id, right_id, pivot_var)
-        return self._store(ProofNode(nid, Clause._trusted(lits), left_id, right_id, pivot_var))
+        # File the premises' own id objects, not the caller's copies.
+        left, right = self.nodes[left_id].id, self.nodes[right_id].id
+        return self._store(ProofNode(nid, Clause._trusted(lits), left, right, pivot_var))
 
     # -- access -----------------------------------------------------------
 
@@ -227,9 +229,10 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
     """
     problems: List[str] = []
     nodes = graph.nodes
+    order = sorted(nodes)
     size = 0
     empty_id: Optional[int] = None
-    for nid in sorted(nodes):
+    for nid in order:
         node = nodes[nid]
         if empty_id is None and not node.clause:
             empty_id = nid
@@ -245,41 +248,45 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
             problems.append("node %d: %s" % (nid, exc))
     valid = not problems
     complete = empty_id is not None
-    if nodes:
-        derivation = graph.reachable_from(empty_id if complete else max(nodes))
-    else:
-        derivation = set()
 
-    # Within the derivation, a resolvent used as a premise twice breaks
-    # tree-likeness, and a pivot that already occurs at or below one of the
-    # premises puts the same pivot twice on a path.  Ids are topologically
-    # ordered, so one ascending pass suffices.  The pivots at or below a
-    # node are kept as a bitmask with one bit per distinct pivot, numbered
-    # in first-seen order, so a mask grows with the number of pivots and not
-    # with their variable ids.
+    # The derivation is every node reachable from the sink; ``info`` maps
+    # each of its ids to the number of premise slots of derivation nodes it
+    # fills, and a resolvent filling two breaks tree-likeness.  The
+    # ascending pass then replaces each count with the pivots at or below
+    # the node, a bitmask with one bit per distinct pivot, numbered in
+    # first-seen order; a pivot already at or below a premise puts the same
+    # pivot twice on a path.  Ids are topologically ordered, so a premise
+    # contributes its mask only when its id is lower than the node's.
+    info: Dict[int, int] = {empty_id if complete else order[-1]: 0} if order else {}
+    stack = list(info)
+    while stack:
+        node = nodes[stack.pop()]
+        if not node.is_source:
+            for premise in (node.left, node.right):
+                if premise in info:
+                    info[premise] += 1
+                elif premise in nodes:  # dangling ids were reported above
+                    info[premise] = 1
+                    stack.append(premise)
     tree_like = regular = True
-    used: Set[int] = set()
     bit_of: Dict[Variable, int] = {}
-    at_or_below: Dict[int, int] = {}
-    for nid in sorted(derivation):
+    for nid in order:
+        if nid not in info:
+            continue
         node = nodes[nid]
         if node.is_source:
-            at_or_below[nid] = 0
+            info[nid] = 0
             continue
+        if info[nid] > 1:
+            tree_like = False
         mask = 0
         for premise in (node.left, node.right):
-            premise_node = nodes.get(premise)
-            if premise_node is None:  # dangling ids were reported above
-                continue
-            if not premise_node.is_source:
-                if premise in used:
-                    tree_like = False
-                used.add(premise)
-            mask |= at_or_below.get(premise, 0)
+            if premise in info and premise < nid:
+                mask |= info[premise]
         bit = bit_of.setdefault(node.pivot, 1 << len(bit_of))
         if mask & bit:
             regular = False
-        at_or_below[nid] = mask | bit
+        info[nid] = mask | bit
     return CheckReport(
         valid=valid,
         complete=complete,
@@ -305,6 +312,17 @@ def export_trace(graph: RefutationGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lines(text: str, chunk: int = 4096) -> Iterator[str]:
+    """``text.splitlines()``, split a piece at a time: each piece ends just
+    after the first newline ``chunk`` or more characters in, and no line
+    boundary straddles a newline, so the pieces give the same lines."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + chunk) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def parse_trace(text: str, formula: Formula) -> RefutationGraph:
     """Parse a trace and revalidate every record.
 
@@ -316,7 +334,7 @@ def parse_trace(text: str, formula: Formula) -> RefutationGraph:
     """
     graph = RefutationGraph()
     header_seen = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue

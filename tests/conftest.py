@@ -22,6 +22,7 @@ from proofsat import (
 )
 from proofsat import cli as proofsat_cli
 from proofsat.engine import MODE_DLL, MODE_TAE
+from proofsat.proofs import CheckReport, _derive, _same_literals, _source
 
 
 def make_base_formula() -> Formula:
@@ -51,6 +52,68 @@ def make_shared_node_refutation(formula: Formula) -> RefutationGraph:
     return graph
 
 
+def reference_check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
+    """The checker as it was before it judged tree-likeness and regularity
+    with one map: a reachable set, a ``used`` set and an ``at_or_below``
+    dict over sorted id lists.  ``check_refutation`` must give the same
+    report for every graph, valid or not."""
+    problems = []
+    nodes = graph.nodes
+    size = 0
+    empty_id = None
+    for nid in sorted(nodes):
+        node = nodes[nid]
+        if empty_id is None and not node.clause:
+            empty_id = nid
+        try:
+            if node.is_source:
+                _source(formula, nid, set(node.clause._lits))
+                continue
+            size += 1
+            derived = _derive(nodes, nid, node.left, node.right, node.pivot)
+            if not _same_literals(derived, node.clause):
+                raise ValueError("literals differ from recomputed resolvent")
+        except ValueError as exc:
+            problems.append("node %d: %s" % (nid, exc))
+    valid = not problems
+    complete = empty_id is not None
+    if nodes:
+        derivation = graph.reachable_from(empty_id if complete else max(nodes))
+    else:
+        derivation = set()
+    tree_like = regular = True
+    used = set()
+    bit_of = {}
+    at_or_below = {}
+    for nid in sorted(derivation):
+        node = nodes[nid]
+        if node.is_source:
+            at_or_below[nid] = 0
+            continue
+        mask = 0
+        for premise in (node.left, node.right):
+            premise_node = nodes.get(premise)
+            if premise_node is None:
+                continue
+            if not premise_node.is_source:
+                if premise in used:
+                    tree_like = False
+                used.add(premise)
+            mask |= at_or_below.get(premise, 0)
+        bit = bit_of.setdefault(node.pivot, 1 << len(bit_of))
+        if mask & bit:
+            regular = False
+        at_or_below[nid] = mask | bit
+    return CheckReport(
+        valid=valid,
+        complete=complete,
+        tree_like=tree_like,
+        regular=regular,
+        size=size,
+        problems=problems,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Corpus sweep, computed once per session and shared by the property and
 # acceptance tests.
@@ -76,7 +139,9 @@ def sweep(tmp_path_factory):
     decisions, final_proof_size, and for satisfiable runs whether the model
     verifies, for unsatisfiable solver-graph runs whether the exported trace
     passes the CLI checker and whether parsing the trace back reproduces the
-    exact graph and check report.
+    exact graph and check report, and whether ``check_refutation`` gives
+    the report of ``reference_check_refutation`` on the refutation and on
+    the solver's whole graph.
     """
     workdir = tmp_path_factory.mktemp("sweep")
     cnf_path = workdir / "formula.cnf"
@@ -134,6 +199,11 @@ def sweep(tmp_path_factory):
                 record["roundtrip_equal"] = reparsed == outcome.proof
                 record["roundtrip_same_report"] = (
                     check_refutation(reparsed, formula) == report
+                )
+                record["reference_same_report"] = (
+                    reference_check_refutation(outcome.proof, formula) == report
+                    and reference_check_refutation(outcome.graph, formula)
+                    == check_refutation(outcome.graph, formula)
                 )
             records.append(record)
     elapsed = time.perf_counter() - start

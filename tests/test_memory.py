@@ -6,9 +6,16 @@ a ``Clause`` that kept a frozenset beside its literal tuple took about
 890 KB on the certify path below, occurrence lists built for every
 declared literal took about 35 MB for the 200,000-variable header, and a
 regularity mask indexed by variable id took about 39 MB to check a
-337-resolvent refutation over variable ids near 10**6."""
+337-resolvent refutation over variable ids near 10**6.  On the
+1,435-resolvent refutation below, tree-likeness and regularity judged with
+a reachable set, a ``used`` set and an ``at_or_below`` dict took about
+410 KB of checker scratch, a trace parser holding every line at once
+peaked about 140 KB above the graph it returned, and a finished solver
+that kept its search state held about 150 KB beyond its outcome."""
 import gc
 import tracemalloc
+
+import pytest
 
 from proofsat import (
     Formula,
@@ -54,8 +61,9 @@ def test_certify_path_peak():
 
 
 def test_unused_variables_cost_no_occurrence_lists():
-    # About 56 bytes per declared variable: seven pointer-sized slots, one
-    # per per-variable list of the solver (trail, values, occurrences).
+    # About 49 bytes per declared variable: six pointer-sized slots, one
+    # per per-variable list of the solver (values, levels, trail variables
+    # and parents, occurrences), and one byte of the trail's flip flags.
     formula = Formula(200_000, [(1,), (2,)])
     peak = traced_peak(lambda: Solver(formula))
     assert peak < 20_000_000, "Solver(...) peaked at %.1f MB" % (peak / 1e6)
@@ -82,3 +90,61 @@ def test_checker_memory_does_not_grow_with_variable_ids():
     peak = traced_peak(lambda: report.append(check_refutation(graph, renamed)))
     assert report[0].valid and report[0].complete and report[0].size == 337
     assert peak < 2 * 1024 * 1024, "check_refutation peaked at %d KB" % (peak // 1024)
+
+
+@pytest.fixture(scope="module")
+def large_refutation():
+    """gen_random_kcnf(39, 195, 3, 1) and its 1,435-resolvent sss+bcp
+    refutation, solved in about 0.2 s."""
+    formula = gen_random_kcnf(39, 195, 3, 1)
+    proof = Solver(formula, SolverConfig(bcp=True)).solve().proof
+    assert proof.size == 1435
+    return formula, proof
+
+
+def test_checker_scratch_on_a_large_refutation(large_refutation):
+    # About 130 KB: one map from node id to use count, then pivot mask.
+    formula, proof = large_refutation
+    report = []
+    peak = traced_peak(lambda: report.append(check_refutation(proof, formula)))
+    assert report[0].valid and report[0].complete and report[0].tree_like
+    assert peak < 256 * 1024, "check_refutation peaked at %d KB" % (peak // 1024)
+
+
+def test_trace_parser_peak_above_its_graph(large_refutation):
+    # About 11 KB above the 425 KB graph: one piece of the text and its
+    # lines at a time.
+    formula, proof = large_refutation
+    text = export_trace(proof)
+    graph = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph.append(parse_trace(text, formula))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph[0] == proof
+    over = peak - kept
+    assert kept - before > 256 * 1024  # the graph itself is counted in kept
+    assert over < 64 * 1024, "parse_trace peaked %d KB above its graph" % (over // 1024)
+
+
+def test_finished_solver_keeps_only_its_outcome():
+    # The solver object, its dict and its spent run generator: about 1 KB.
+    formula = gen_random_kcnf(39, 195, 3, 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        solver = Solver(formula, SolverConfig(bcp=True))
+        outcome = solver.solve()
+        gc.collect()
+        with_solver = tracemalloc.get_traced_memory()[0]
+        del solver
+        gc.collect()
+        retained = with_solver - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert outcome.verdict == "UNSAT"
+    assert retained < 16 * 1024, "finished solver holds %d KB" % (retained // 1024)

@@ -1,19 +1,34 @@
 """Resolution graphs, the independent checker, and the trace/DOT formats."""
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from proofsat import (
     Clause,
     Formula,
     RefutationGraph,
+    SolverConfig,
     check_refutation,
     export_dot,
     export_trace,
+    gen_random_kcnf,
     init_refutation,
     parse_trace,
+    solve,
 )
-from proofsat.proofs import ProofNode, _oriented_set, _resolvent_set, _source
+from proofsat.proofs import ProofNode, _lines, _oriented_set, _resolvent_set, _source
 
-from conftest import make_base_formula, make_shared_node_refutation
+from conftest import (
+    make_base_formula,
+    make_shared_node_refutation,
+    reference_check_refutation,
+)
+
+# Deterministic, bounded example runs, so tier-1 stays reproducible.
+proof_settings = settings(
+    max_examples=40, derandomize=True, database=None, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 SHARED_TRACE = """p trace
 o 1 1 2 0
@@ -86,6 +101,17 @@ class TestRefutationGraph:
         with pytest.raises(ValueError):
             g.add_node(2, 3, 3, node_id=9)
         assert g.add_node(2, 3, 3) == 10  # auto id continues past the gap
+
+    def test_default_id_already_used_rejected(self):
+        # A node filed at the next free id behind the constructor's back
+        # must not be overwritten by an add_node call without an id.
+        f = make_base_formula()
+        g = init_refutation(f)
+        forged = ProofNode(5, Clause([9]))
+        g.nodes[5] = forged
+        with pytest.raises(ValueError, match="node id 5 already used"):
+            g.add_node(2, 3, 3)  # a valid step, which would be filed as 5
+        assert g.nodes[5] is forged
 
     def test_size_counts_resolvents_only(self):
         g = make_shared_node_refutation(make_base_formula())
@@ -268,6 +294,88 @@ def test_each_fault_has_one_wording(sources, record, message):
     assert check_refutation(g, f).problems == ["node %d: %s" % (nid, message)]
 
 
+# ---------------------------------------------------------------------------
+# The checker against ``reference_check_refutation`` on graphs that break
+# the rules.  Each fault rewrites one resolvent of a valid refutation; the
+# refutations are extracted derivations, so every node is reachable from
+# the empty clause.
+
+
+def _refutations():
+    bases = [(make_base_formula(), make_shared_node_refutation(make_base_formula()))]
+    for seed in (1, 2, 3):
+        formula = gen_random_kcnf(8, 40, 3, seed)
+        for config in (SolverConfig(bcp=True), SolverConfig(cdb_1uip=True, ccr=True)):
+            outcome = solve(formula, config)
+            if outcome.proof is not None:
+                bases.append((formula, outcome.proof))
+    return bases
+
+
+REFUTATIONS = _refutations()
+
+
+def _resolvent_ids(nodes):
+    return sorted(nid for nid, node in nodes.items() if not node.is_source)
+
+
+def dangling_premise(nodes, draw):
+    nid = draw(st.sampled_from(_resolvent_ids(nodes)))
+    missing = draw(st.sampled_from([0, -1, max(nodes) + 1, max(nodes) + 7]))
+    slot = draw(st.sampled_from(["left", "right"]))
+    nodes[nid] = nodes[nid]._replace(**{slot: missing})
+
+
+def later_premise(nodes, draw):
+    nid = draw(st.sampled_from(_resolvent_ids(nodes)))
+    later = draw(st.sampled_from([i for i in nodes if i >= nid]))
+    slot = draw(st.sampled_from(["left", "right"]))
+    nodes[nid] = nodes[nid]._replace(**{slot: later})
+
+
+def premise_used_twice(nodes, draw):
+    nid = draw(st.sampled_from(_resolvent_ids(nodes)))
+    nodes[nid] = nodes[nid]._replace(right=nodes[nid].left)
+
+
+def cycle(nodes, draw):
+    # The sink reaches every node, so pointing below it at the sink closes
+    # a cycle through the sink.
+    sink = max(nodes)
+    nid = draw(st.sampled_from(_resolvent_ids(nodes)))
+    nodes[nid] = nodes[nid]._replace(left=sink)
+
+
+def no_empty_clause(nodes, draw):
+    for nid in _resolvent_ids(nodes):
+        if not nodes[nid].clause:
+            nodes[nid] = nodes[nid]._replace(clause=Clause([draw(st.integers(1, 3))]))
+
+
+def repeated_pivot(nodes, draw):
+    nid = draw(st.sampled_from(_resolvent_ids(nodes)))
+    below = [nodes[p].pivot for p in (nodes[nid].left, nodes[nid].right)
+             if p in nodes and not nodes[p].is_source]
+    pivot = draw(st.sampled_from(below)) if below else nodes[nid].pivot
+    nodes[nid] = nodes[nid]._replace(pivot=pivot)
+
+
+FAULTS = [dangling_premise, later_premise, premise_used_twice, cycle,
+          no_empty_clause, repeated_pivot]
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f.__name__)
+@proof_settings
+@given(data=st.data())
+def test_checker_matches_reference_on_broken_graphs(fault, data):
+    formula, base = data.draw(st.sampled_from(REFUTATIONS), label="refutation")
+    graph = RefutationGraph()
+    graph.nodes = dict(base.nodes)
+    for extra in [fault] + data.draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+        extra(graph.nodes, data.draw)
+    assert check_refutation(graph, formula) == reference_check_refutation(graph, formula)
+
+
 class TestProofNode:
     def test_fields_equality_and_immutability(self):
         source = ProofNode(1, Clause([1, 2]))
@@ -381,3 +489,47 @@ class TestDotExport:
         assert 'n6 -> n8 [label="-1"];' in dot
         assert 'n7 -> n8 [label="1"];' in dot
         assert dot.rstrip().endswith("}")
+
+
+# ---------------------------------------------------------------------------
+# The trace parser reads its text a piece at a time.
+
+SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+              "\x85", "\u2028", "\u2029"]
+
+separated_texts = st.builds(
+    lambda lines, tail: "".join(a + b for a, b in lines) + tail,
+    st.lists(st.tuples(st.text("ab 0", max_size=5), st.sampled_from(SEPARATORS)), max_size=20),
+    st.text("ab 0", max_size=3),
+)
+
+
+@settings(proof_settings, max_examples=300)
+@given(text=separated_texts, chunk=st.integers(1, 8))
+@example(text="", chunk=1)
+@example(text="ab", chunk=1)
+@example(text="a\r\nb\r\nc", chunk=1)  # a fixed cut at 2 would split the \r\n
+@example(text="ab\rcd\re\n", chunk=2)  # lone \r, no \n until the end
+@example(text="a\nb\r\nc", chunk=1)  # a cut after the \r would split the \r\n
+@example(text="a\n\n\x85b\u2028\u2029c\x1c\x1d\x1e\x0b\x0cd", chunk=3)
+def test_chunked_lines_equal_splitlines(text, chunk):
+    assert list(_lines(text, chunk)) == text.splitlines()
+
+
+LONG_FORMULA = gen_random_kcnf(30, 150, 3, 1)
+LONG_TRACE_RECORDS = export_trace(solve(LONG_FORMULA, SolverConfig(bcp=True)).proof).splitlines()
+
+
+@proof_settings
+@given(data=st.data())
+def test_parse_error_names_the_splitlines_line(data):
+    # The trace runs to about 13 KB, several pieces of the reader.
+    records = list(LONG_TRACE_RECORDS)
+    bad = data.draw(st.integers(1, len(records) - 1), label="bad record")
+    records[bad] = "q 0"
+    seps = data.draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(records),
+                              max_size=len(records)), label="separators")
+    text = "".join(r + sep for r, sep in zip(records, seps))
+    line_no = text.splitlines().index("q 0") + 1
+    with pytest.raises(ValueError, match=r"^line %d: unknown record 'q'$" % line_no):
+        parse_trace(text, LONG_FORMULA)

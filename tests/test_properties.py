@@ -79,6 +79,10 @@ class TestInternalInvariants:
         assert [r for r in records if not r["roundtrip_equal"]] == []
         assert [r for r in records if not r["roundtrip_same_report"]] == []
 
+    def test_checker_matches_reference_on_every_refutation(self, sweep):
+        records = unsat_sss_records(sweep)
+        assert [r for r in records if not r["reference_same_report"]] == []
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
