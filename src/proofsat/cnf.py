@@ -216,8 +216,7 @@ def parse_dimacs(text: str) -> Formula:
 
 
 def write_dimacs(formula: Formula) -> str:
-    lines = ["p cnf %d %d" % (formula.num_vars, len(formula))]
-    for cid in formula.ids():
-        clause = formula.clause(cid)
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"
+    lines = ["p cnf %d %d\n" % (formula.num_vars, len(formula))]
+    for clause in formula.clauses:
+        lines.append(" ".join(map(str, clause)) + " 0\n")
+    return "".join(lines)

@@ -288,19 +288,17 @@ class Solver:
         self.trail_parent: List[int] = [0] * (self.n + 1)
         self.d = 0
 
-        # Proof bookkeeping (sss only).
-        if self.config.mode == MODE_SSS:
-            self.graph: Optional[RefutationGraph] = init_refutation(self.formula)
-            self.clause_node: List[int] = list(self.formula.ids())
-        else:
-            self.graph = None
-            self.clause_node = []
+        # Proof bookkeeping (sss only): input clause k is proof node k, and
+        # recorded_node maps a recorded clause's id to its derivation's node.
+        self.graph = init_refutation(self.formula) if self.config.mode == MODE_SSS else None
+        self.recorded_node: Dict[int, int] = {}
         self.recorded_nodes: set = set()
+        # Resolvents credited as pruned, and those already consumed as a
+        # premise, both filled under debug_checks only.  Each resolvent is
+        # consumed at most once, which keeps every backtracking clause
+        # derivation a tree as long as no clause is recorded; the debug
+        # checks verify the discipline.
         self.pruned_marks: set = set()
-        # Resolvents already consumed as a premise, filled under
-        # debug_checks only.  Each resolvent is consumed at most once, which
-        # keeps every backtracking clause derivation a tree as long as no
-        # clause is recorded; the debug checks verify the discipline.
         self.consumed: set = set()
 
         self._rng = (
@@ -530,7 +528,7 @@ class Solver:
                     yield (ConflictFound, np_clause_id)
                 elif self.falsified:
                     blocking = min(self.falsified)
-                    parent_node = self.clause_node[blocking - 1]
+                    parent_node = self.recorded_node.get(blocking, blocking)
                     parent_lits = self.clause_lits[blocking - 1]
                     yield (ConflictFound, blocking)
                 else:
@@ -556,7 +554,7 @@ class Solver:
                     r = min(self.falsified)
                     yield (ConflictFound, r)
                     self.stats.conflicts += 1
-                    np_node = self.clause_node[r - 1]
+                    np_node = self.recorded_node.get(r, r)
                     np_lits = self.clause_lits[r - 1]
                     np_clause_id = r
                     state = yield from self._backtrack(np_node, np_lits, np_clause_id)
@@ -737,7 +735,7 @@ class Solver:
             self.falsified.add(cid)
         elif self.config.debug_checks:
             raise InvariantViolation("recorded clause is not falsified")
-        self.clause_node.append(np_node)
+        self.recorded_node[cid] = np_node
         self.recorded_nodes.add(np_node)
         self.formula.add_clause(clause)
         return cid
@@ -759,28 +757,26 @@ class Solver:
     # -- pruning accounting ----------------------------------------------
 
     def _abandon(self, node_id: int) -> int:
-        """Count the resolvent nodes of an abandoned parent derivation.
-
-        Stops at sources and at recorded-clause nodes (both stay live).
-        Every node is credited to exactly one abandonment; meeting one
-        twice would double-count and is flagged in debug runs.
-        """
+        """Count the resolvent nodes of an abandoned parent derivation and
+        delete them from the graph.  Stops at sources and recorded-clause
+        nodes (both stay live) and at ids the graph lacks: sources not yet
+        filed and nodes already credited.  Crediting a node twice would
+        double-count and is flagged in debug runs."""
         if not node_id:
             return 0
+        nodes, debug = self.graph.nodes, self.config.debug_checks
         count = 0
         stack = [node_id]
         while stack:
             nid = stack.pop()
-            node = self.graph.nodes[nid]
-            if node.is_source or nid in self.recorded_nodes:
+            if debug and nid in self.pruned_marks:
+                raise InvariantViolation("derivation node %d credited to two prunings" % nid)
+            node = nodes.get(nid)
+            if node is None or node.is_source or nid in self.recorded_nodes:
                 continue
-            if nid in self.pruned_marks:
-                if self.config.debug_checks:
-                    raise InvariantViolation(
-                        "derivation node %d credited to two prunings" % nid
-                    )
-                continue
-            self.pruned_marks.add(nid)
+            if debug:
+                self.pruned_marks.add(nid)
+            del nodes[nid]
             count += 1
             stack.append(node.left)
             stack.append(node.right)
@@ -793,8 +789,10 @@ class Solver:
             v: (self.val[v] if self.val[v] is not None else False)
             for v in range(1, self.n + 1)
         }
-        if self.config.debug_checks and not verify_model(self.formula, model):
-            raise InvariantViolation("satisfying assignment fails verification")
+        if self.config.debug_checks:
+            if not verify_model(self.formula, model):
+                raise InvariantViolation("satisfying assignment fails verification")
+            self._check_graph_closed()
         self.outcome = SolveOutcome(
             verdict=VERDICT_SAT,
             stats=self.stats,
@@ -814,6 +812,7 @@ class Solver:
             self.stats.final_proof_size = proof.size
             if self.config.debug_checks:
                 self._check_pruning_partition(proof)
+                self._check_graph_closed()
                 report = check_refutation(proof, self.formula)
                 if not (report.valid and report.complete):
                     raise InvariantViolation(
@@ -927,8 +926,18 @@ class Solver:
                 raise InvariantViolation(
                     "resolvent %d resolved after being pruned" % premise
                 )
-            if not self.graph.nodes[premise].is_source:
+            if premise in self.graph.nodes and not self.graph.nodes[premise].is_source:
                 self.consumed.add(premise)
+
+    def _check_graph_closed(self) -> None:
+        """No credited resolvent is left in the graph, and every premise of
+        a resolvent in it is in it too, so no deletion stranded a node."""
+        nodes = self.graph.nodes if self.graph is not None else {}
+        if not self.pruned_marks.isdisjoint(nodes):
+            raise InvariantViolation("a credited node is still in the graph")
+        for node in nodes.values():
+            if not node.is_source and not (node.left in nodes and node.right in nodes):
+                raise InvariantViolation("node %d lost a premise" % node.id)
 
     def _check_pruning_partition(self, proof: RefutationGraph) -> None:
         proof_resolvents = {

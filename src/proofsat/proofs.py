@@ -1,9 +1,10 @@
 """Resolution derivations: construction, checking, and interchange formats.
 
-A RefutationGraph is an append-only DAG.  Source nodes mirror the clauses
-of a formula (node id = 1-based clause id); every other node is a resolvent
-with two premise links and a pivot variable.  Node ids only grow, so a
-premise always has a smaller id than the node using it.
+A RefutationGraph is a DAG.  Source nodes mirror the clauses of a formula
+(node id = 1-based clause id; a graph from ``init_refutation`` files each on
+its first use); every other node is a resolvent with two premise links and a
+pivot variable.  Node ids only grow, so a premise always has a smaller id
+than the node using it.
 
 Trace format (line oriented):
 
@@ -110,11 +111,13 @@ def _source(formula: Formula, nid: int, lits: Set[Literal]) -> Clause:
 
 
 class RefutationGraph:
-    """Append-only resolution DAG with 1-based node ids."""
+    """Resolution DAG with 1-based node ids."""
 
     def __init__(self) -> None:
         self.nodes: Dict[int, ProofNode] = {}
         self._next_id = 1
+        self._sources: Sequence[Clause] = ()
+        self._reserved = 0  # ids 1.._reserved: _sources' clauses, filed on first use
 
     # -- construction -----------------------------------------------------
 
@@ -123,9 +126,16 @@ class RefutationGraph:
             wanted = self._next_id
         elif wanted < 1:
             raise ValueError("node id must be positive")
-        if wanted in self.nodes:
+        if wanted in self.nodes or wanted <= self._reserved:
             raise ValueError("node id %d already used" % wanted)
         return wanted
+
+    def _premise(self, nid: int) -> Optional[ProofNode]:
+        """Node ``nid``, or the unfiled source reserved for it."""
+        node = self.nodes.get(nid)
+        if node is None and isinstance(nid, int) and 0 < nid <= self._reserved:
+            node = ProofNode(nid, self._sources[nid - 1])
+        return node
 
     def _store(self, node: ProofNode) -> int:
         self.nodes[node.id] = node
@@ -144,7 +154,7 @@ class RefutationGraph:
         pivot_var: Variable,
         node_id: Optional[int] = None,
     ) -> int:
-        """Append the resolvent of two existing nodes on pivot_var.
+        """Append the resolvent of two existing or reserved nodes on pivot_var.
 
         The premises may be passed in either polarity order; the clause with
         the positive pivot occurrence is used as the positive side.  Raises
@@ -152,9 +162,14 @@ class RefutationGraph:
         ``_derive``.
         """
         nid = self._claim_id(node_id)
-        lits = _derive(self.nodes, nid, left_id, right_id, pivot_var)
+        nodes = self.nodes
+        if left_id not in nodes or right_id not in nodes:
+            nodes = {p: node for p in (left_id, right_id) if (node := self._premise(p))}
+        lits = _derive(nodes, nid, left_id, right_id, pivot_var)
+        if nodes is not self.nodes:
+            self.nodes.update(nodes)  # the step holds: file its new sources
         # File the premises' own id objects, not the caller's copies.
-        left, right = self.nodes[left_id].id, self.nodes[right_id].id
+        left, right = nodes[left_id].id, nodes[right_id].id
         return self._store(ProofNode(nid, Clause._trusted(lits), left, right, pivot_var))
 
     # -- access -----------------------------------------------------------
@@ -209,10 +224,11 @@ class RefutationGraph:
 
 
 def init_refutation(formula: Formula) -> RefutationGraph:
-    """One source node per formula clause, ids matching clause ids."""
+    """An empty graph reserving ids 1..m for the formula's m clauses, each
+    filed as its source when ``add_node`` first uses it; resolvent ids start at m + 1."""
     graph = RefutationGraph()
-    graph.nodes = {cid: ProofNode(cid, c) for cid, c in enumerate(formula.clauses, 1)}
-    graph._next_id = len(graph.nodes) + 1
+    graph._sources, graph._reserved = formula.clauses, len(formula.clauses)
+    graph._next_id = graph._reserved + 1
     return graph
 
 
@@ -298,18 +314,17 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
 
 
 def export_trace(graph: RefutationGraph) -> str:
-    lines = ["p trace"]
+    lines = ["p trace\n"]
     nodes = graph.nodes
     for nid in sorted(nodes):
         node = nodes[nid]
         lits = " ".join(map(str, node.clause))
         if node.is_source:
-            body = ("o %d %s 0" % (nid, lits)) if lits else ("o %d 0" % nid)
+            head = "o %d" % nid
         else:
             head = "r %d %d %d %d" % (nid, node.pivot, node.left, node.right)
-            body = ("%s %s 0" % (head, lits)) if lits else ("%s 0" % head)
-        lines.append(body)
-    return "\n".join(lines) + "\n"
+        lines.append(("%s %s 0\n" % (head, lits)) if lits else ("%s 0\n" % head))
+    return "".join(lines)
 
 
 def _lines(text: str, chunk: int = 4096) -> Iterator[str]:
@@ -384,19 +399,20 @@ def export_dot(graph: RefutationGraph) -> str:
     """Graphviz rendering: premise-to-resolvent edges, each labelled with
     the pivot literal as it occurs in the *other* premise (the polarity the
     edge's source clause lacks)."""
-    lines = ["digraph refutation {", "  rankdir=BT;"]
-    for nid in graph.node_ids():
+    lines = ["digraph refutation {\n", "  rankdir=BT;\n"]
+    order = graph.node_ids()
+    for nid in order:
         node = graph.nodes[nid]
         label = " ".join(map(str, node.clause)) or "empty"
         shape = "box" if node.is_source else "ellipse"
-        lines.append('  n%d [label="%s", shape=%s];' % (nid, label, shape))
-    for nid in graph.node_ids():
+        lines.append('  n%d [label="%s", shape=%s];\n' % (nid, label, shape))
+    for nid in order:
         node = graph.nodes[nid]
         if node.is_source:
             continue
         for premise in (node.left, node.right):
             premise_clause = graph.nodes[premise].clause
             edge_lit = -node.pivot if node.pivot in premise_clause else node.pivot
-            lines.append('  n%d -> n%d [label="%d"];' % (premise, nid, edge_lit))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            lines.append('  n%d -> n%d [label="%d"];\n' % (premise, nid, edge_lit))
+    lines.append("}\n")
+    return "".join(lines)

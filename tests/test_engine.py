@@ -25,6 +25,7 @@ from proofsat import (
     Unsat,
     check_refutation,
     export_trace,
+    gen_random_kcnf,
     solve,
     verify_model,
 )
@@ -545,6 +546,27 @@ class TestStatsAndModel:
                 "pruned_uip",
             ]
         )
+
+    def test_graph_keeps_the_resolvents_not_credited_as_pruned(self):
+        # Without recording, the graph an UNSAT run leaves is a valid,
+        # complete derivation of every resolvent it made minus those it
+        # credited as pruned.
+        runs = credited = 0
+        for seed in (0, 1, 2, 4):  # the UNSAT ones among seeds 0-4
+            f = gen_random_kcnf(12, 72, 3, seed)
+            for cfg in SWEEP_CONFIGS:
+                if cfg.mode != MODE_SSS or cfg.ccr:
+                    continue
+                out = solve(f, cfg)
+                assert out.verdict == "UNSAT"
+                stats = out.stats
+                credits = stats.pruned_resolution + stats.pruned_ncb + stats.pruned_uip
+                report = check_refutation(out.graph, f)
+                assert report.valid and report.complete
+                assert report.size == stats.nodes_added - credits
+                runs += 1
+                credited += credits > 0
+        assert runs == 32 and credited > 0
 
     def test_verify_model(self):
         f = make_base_formula()

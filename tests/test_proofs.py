@@ -42,6 +42,16 @@ r 8 1 6 7 0
 """
 
 
+def filed_sources(formula):
+    """A plain graph holding every formula clause as its source, for tests
+    that forge resolvents over them (``init_refutation`` reserves those
+    ids and files a source only when ``add_node`` first uses it)."""
+    graph = RefutationGraph()
+    for cid in formula.ids():
+        graph.add_source(formula.clause(cid), cid)
+    return graph
+
+
 class TestPivotAndResolve:
     def test_oriented_set_takes_either_premise_order(self):
         assert _oriented_set((1, 2), (-2, 3), 2) == {1, 3}
@@ -57,12 +67,23 @@ class TestRefutationGraph:
     def test_init_refutation_mirrors_clause_ids(self):
         f = make_base_formula()
         g = init_refutation(f)
-        assert g.node_ids() == [1, 2, 3, 4]
-        for cid in f.ids():
+        assert g.node_ids() == [] and len(g) == 0  # no node before its use
+        with pytest.raises(ValueError):
+            g.add_node(1, 4, 3)  # a rejected step files no source
+        assert g.node_ids() == []
+        assert g.add_node(2, 3, 3) == 5  # resolvents start at m + 1
+        assert g.node_ids() == [2, 3, 5]
+        for cid in (2, 3):
             node = g.node(cid)
             assert node.is_source
             assert node.clause == f.clause(cid)
             assert node.id == cid
+        for cid in f.ids():  # filed or not, ids 1..m stay reserved
+            with pytest.raises(ValueError, match="node id %d already used" % cid):
+                g.add_node(2, 3, 3, node_id=cid)
+            with pytest.raises(ValueError, match="node id %d already used" % cid):
+                g.add_source(f.clause(cid), cid)
+        assert g.node_ids() == [2, 3, 5]
 
     def test_add_node_orients_either_premise_order(self):
         f = make_base_formula()
@@ -185,7 +206,7 @@ class TestChecker:
         # The checker must recompute resolvents rather than trust the graph,
         # so forge a node behind the constructor's back.
         f = make_base_formula()
-        g = init_refutation(f)
+        g = filed_sources(f)
         g.nodes[5] = ProofNode(5, Clause([3]), left=2, right=3, pivot=3)
         report = check_refutation(g, f)
         assert not report.valid
@@ -201,7 +222,7 @@ class TestChecker:
 
     def test_premise_order_violation_reported(self):
         f = make_base_formula()
-        g = init_refutation(f)
+        g = filed_sources(f)
         g.nodes[5] = ProofNode(5, Clause([-2]), left=2, right=3, pivot=3)
         g.nodes[4] = ProofNode(4, Clause([-1, 2]), left=5, right=1, pivot=2)
         report = check_refutation(g, f)
@@ -217,7 +238,7 @@ class TestChecker:
         # (-2) does follow from clauses 2 and 3 on -3, so only the pivot is
         # wrong; the checker must report it rather than raise.
         f = make_base_formula()
-        g = init_refutation(f)
+        g = filed_sources(f)
         g.nodes[5] = ProofNode(5, Clause([-2]), left=2, right=3, pivot=bad_pivot)
         g.nodes[6] = ProofNode(6, Clause([-2]), left=5, right=5, pivot=3)
         report = check_refutation(g, f)
