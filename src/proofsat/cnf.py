@@ -7,6 +7,7 @@ by 1-based clause ids.
 """
 from __future__ import annotations
 
+from itertools import chain
 from operator import neg
 from typing import AbstractSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -131,6 +132,21 @@ class Formula:
         return "Formula(num_vars=%d, clauses=%d)" % (self.num_vars, len(self.clauses))
 
 
+def _lines(text: str, chunk: int = 4096) -> Iterator[str]:
+    """``text.splitlines()``, split a piece at a time: each piece ends just
+    after the first newline ``chunk`` or more characters in, and no line
+    boundary straddles a newline, so the pieces give the same lines."""
+
+    def pieces() -> Iterator[str]:
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + chunk) + 1 or len(text)
+            yield text[start:end]
+            start = end
+
+    return chain.from_iterable(map(str.splitlines, pieces()))
+
+
 def parse_dimacs(text: str) -> Formula:
     """Parse DIMACS CNF text into a Formula.
 
@@ -147,7 +163,7 @@ def parse_dimacs(text: str) -> Formula:
     formula: Optional[Formula] = None
     seen_clauses = 0
     current: List[int] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue

@@ -585,7 +585,7 @@ class Solver:
                 new_id = self.graph.add_node(self.trail_parent[d], np_node, var)
                 self.stats.nodes_added += 1
                 np_node = new_id
-                np_lits = self.graph.nodes[new_id].clause.literals
+                np_lits = self.graph.literals(new_id)
                 np_clause_id = None
                 yield (BacktrackResolve, new_id)
             elif flipped:
@@ -764,22 +764,22 @@ class Solver:
         double-count and is flagged in debug runs."""
         if not node_id:
             return 0
-        nodes, debug = self.graph.nodes, self.config.debug_checks
+        graph, debug = self.graph, self.config.debug_checks
         count = 0
         stack = [node_id]
         while stack:
             nid = stack.pop()
             if debug and nid in self.pruned_marks:
                 raise InvariantViolation("derivation node %d credited to two prunings" % nid)
-            node = nodes.get(nid)
-            if node is None or node.is_source or nid in self.recorded_nodes:
+            if nid in self.recorded_nodes:
+                continue
+            premises = graph.prune(nid)
+            if premises is None:
                 continue
             if debug:
                 self.pruned_marks.add(nid)
-            del nodes[nid]
             count += 1
-            stack.append(node.left)
-            stack.append(node.right)
+            stack += premises
         return count
 
     # -- termination ------------------------------------------------------
@@ -806,7 +806,7 @@ class Solver:
     def _finish_unsat(self, root: Optional[int]) -> tuple:
         proof = None
         if self.graph is not None and root is not None:
-            if self.config.debug_checks and len(self.graph.nodes[root].clause) != 0:
+            if self.config.debug_checks and self.graph.literals(root):
                 raise InvariantViolation("refutation root is not the empty clause")
             proof = self.graph.extract_derivation(root)
             self.stats.final_proof_size = proof.size

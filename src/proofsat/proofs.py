@@ -13,14 +13,32 @@ Trace format (line oriented):
     r <id> <pivot> <left> <right> <lit> ... <lit> 0   resolvent
 
 <pivot> is a positive variable.  A derivation is complete when it contains
-an 'r' record with an empty literal list (the empty clause).
+an 'r' record with an empty literal list (the empty clause).  A graph keeps
+its nodes in 32-bit columns, so a node id lies in 1..2**31 - 1 and a stored
+literal or pivot within +-(2**31 - 1).
 """
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add
+from typing import Collection, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .cnf import Clause, Formula, Literal, Variable, _tautological
+from .cnf import Clause, Formula, Literal, Variable, _lines, _tautological
+
+_MAX = 2**31 - 1  # the largest id, literal or pivot a column holds
+_NONE = -_MAX - 1  # a source's premises and pivot, and any None, in a column
+_COMPACT_MIN = 64  # dead rows below this many are never compacted
+
+
+def _index_fits(span: int, rows: int) -> bool:
+    """Whether an id index over ``span`` ids may serve ``rows`` rows: at
+    most 8 slots a row, beyond a slack of 64, so hostile ids fall back to
+    bisection rather than allocate by the largest id."""
+    return span <= 8 * rows + 64
 
 
 class ProofNode(NamedTuple):
@@ -74,23 +92,29 @@ def _oriented_set(left: Sequence[Literal], right: Sequence[Literal], v: Variable
     )
 
 
-def _same_literals(lits: Set[Literal], clause: Clause) -> bool:
+def _same_literals(lits: Set[Literal], clause: Sequence[Literal]) -> bool:
     """True when a set of literals holds exactly the clause's literals."""
-    return len(lits) == len(clause._lits) and lits.issuperset(clause._lits)
+    return len(lits) == len(clause) and lits.issuperset(clause)
 
 
 def _derive(
-    nodes: Dict[int, ProofNode], nid: int, left: int, right: int, pivot: Variable
+    nid: int,
+    left: int,
+    right: int,
+    pivot: Variable,
+    left_lits: Optional[Sequence[Literal]],
+    right_lits: Optional[Sequence[Literal]],
 ) -> Set[Literal]:
     """The literal set of resolvent ``nid`` of ``left`` and ``right`` on
-    ``pivot``: the one rule set for a resolution step, shared by
-    ``add_node``, ``parse_trace`` and ``check_refutation``.  Raises
-    ValueError naming the first rule the step breaks."""
-    if left not in nodes or right not in nodes:
+    ``pivot``, given the premises' literals (None for a premise that is not
+    filed): the one rule set for a resolution step, shared by ``add_node``,
+    ``parse_trace`` and ``check_refutation``.  Raises ValueError naming the
+    first rule the step breaks."""
+    if left_lits is None or right_lits is None:
         raise ValueError("premise id not defined earlier")
     if not isinstance(pivot, int) or pivot < 1:
         raise ValueError("pivot must be a positive variable, got %r" % (pivot,))
-    lits = _oriented_set(nodes[left].clause._lits, nodes[right].clause._lits, pivot)
+    lits = _oriented_set(left_lits, right_lits, pivot)
     if _tautological(lits):
         raise ValueError("resolvent of %d and %d on %d is tautological" % (left, right, pivot))
     if nid <= max(left, right):
@@ -105,19 +129,181 @@ def _source(formula: Formula, nid: int, lits: Set[Literal]) -> Clause:
         clause = formula.clause(nid)
     except KeyError:
         raise ValueError("no formula clause with id %d" % nid) from None
-    if not _same_literals(lits, clause):
+    if not _same_literals(lits, clause._lits):
         raise ValueError("literals differ from formula clause %d" % nid)
     return clause
 
 
 class RefutationGraph:
-    """Resolution DAG with 1-based node ids."""
+    """Resolution DAG with 1-based node ids, held in typed columns.
+
+    Each filed node is a row, except a source reserved by
+    ``init_refutation``: its id, premises, pivot, and the start and length
+    of its literals in one flat arena, each an ``array('i')``, and a byte
+    saying whether the row is still filed.  Rows stay in ascending id
+    order.  An id is found through an index over the ids from the first
+    row's on while they are dense enough (``_index_fits``), else by
+    bisection, so nothing is sized by the largest id.  Unfiling a row
+    leaves it dead; once dead rows outnumber live ones, the columns are
+    rebuilt from the live rows, so the store follows the nodes filed, not
+    every node ever added.  Ids 1..``_reserved`` belong to the clauses of
+    the formula given to ``init_refutation``: such a source is filed by a
+    flag and reads its literals from the clause it mirrors.  ``nodes`` is
+    a mapping view of the filed nodes.
+    """
 
     def __init__(self) -> None:
-        self.nodes: Dict[int, ProofNode] = {}
+        self._ids = array("i")
+        self._left = array("i")
+        self._right = array("i")
+        self._pivot = array("i")
+        self._start = array("i")
+        self._len = array("i")
+        self._lits = array("i")
+        self._live = bytearray()
+        self._dead = 0
+        # _index[nid - _base] is the row of filed id nid, or -1; None while
+        # the ids are too sparse for it, when rows are found by bisection.
+        self._index: Optional[array] = array("i")
+        self._base = 0
+        # The id and literal tuple of the last row while it is the newest
+        # node added: the premise a solver or a trace most often names next.
+        self._newest: Tuple[Optional[int], Tuple[Literal, ...]] = (None, ())
         self._next_id = 1
         self._sources: Sequence[Clause] = ()
         self._reserved = 0  # ids 1.._reserved: _sources' clauses, filed on first use
+        self._src_filed = bytearray(1)  # byte k is 1 while source k is filed
+
+    def _columns(self) -> Tuple[array, ...]:
+        return self._ids, self._left, self._right, self._pivot, self._start, self._len
+
+    # -- rows -------------------------------------------------------------
+
+    def _row(self, nid: int) -> int:
+        """The row of filed node ``nid``, or -1; a reserved source has none."""
+        index = self._index
+        if index is not None:
+            i = nid - self._base
+            return index[i] if 0 <= i < len(index) else -1
+        ids = self._ids
+        r = bisect_left(ids, nid)
+        return r if r < len(ids) and ids[r] == nid and self._live[r] else -1
+
+    def _records(self) -> Iterator[Tuple[int, int, int, int, int, Sequence[Literal]]]:
+        """(row, id, left, right, pivot, literals) of every filed node, by
+        id, with None stored as ``_NONE`` and row -1 for a reserved source."""
+        sources = self._sources
+        reserved = (
+            (-1, nid, _NONE, _NONE, _NONE, sources[nid - 1]._lits)
+            for nid in compress(range(self._reserved + 1), self._src_filed)
+        )
+        starts = self._start
+        runs = map(self._lits.__getitem__, map(slice, starts, map(add, starts, self._len)))
+        rows = zip(count(), self._ids, self._left, self._right, self._pivot, runs)
+        return chain(reserved, compress(rows, self._live))
+
+    def _locate(self, nid: int) -> Tuple[int, Optional[Tuple[Literal, ...]]]:
+        """(row, literals) of node ``nid``: row -1 for a reserved source,
+        and (-1, None) when ``nid`` is not filed."""
+        if 0 < nid <= self._reserved:
+            return -1, (self._sources[nid - 1]._lits if self._src_filed[nid] else None)
+        if nid == self._newest[0]:
+            return len(self._ids) - 1, self._newest[1]
+        r = self._row(nid)
+        if r < 0:
+            return r, None
+        start = self._start[r]
+        return r, tuple(self._lits[start : start + self._len[r]])
+
+    def _file(self, nid: int, left: int, right: int, pivot: int, lits: Tuple[Literal, ...]) -> None:
+        """Store node ``nid`` as a row, in id order, over any row with its
+        id.  ``lits`` are sorted by variable, as ``Clause`` sorts them, and
+        ``nid``, ``left`` and ``right`` lie in the columns' range.  Raises
+        ValueError, storing nothing, when a literal or the pivot does not."""
+        n = len(lits)
+        if (n and abs(lits[-1]) > _MAX) or pivot > _MAX:
+            raise ValueError("node %d holds a value beyond +-%d" % (nid, _MAX))
+        arena, ids, index = self._lits, self._ids, self._index
+        start = len(arena)
+        arena.extend(lits)
+        r = len(ids)
+        if not r or nid > ids[-1]:
+            if index is not None:
+                if not r:
+                    self._base = nid
+                gap = nid - self._base - len(index)
+                if gap and not _index_fits(len(index) + gap + 1, r + 1):
+                    self._index = None
+                else:
+                    if gap:
+                        index.extend(repeat(-1, gap))
+                    index.append(r)
+            ids.append(nid)
+            self._left.append(left)
+            self._right.append(right)
+            self._pivot.append(pivot)
+            self._start.append(start)
+            self._len.append(n)
+            self._live.append(1)
+            self._newest = nid, lits
+            return
+        values = (nid, left, right, pivot, start, n)
+        r = bisect_left(ids, nid)
+        if ids[r] == nid:  # overwrite; the old literals stay until compaction
+            self._newest = (None, ())
+            for column, value in zip(self._columns(), values):
+                column[r] = value
+            if not self._live[r]:
+                self._live[r] = 1
+                self._dead -= 1
+                if index is not None:
+                    index[nid - self._base] = r
+            return
+        for column, value in zip(self._columns(), values):
+            column.insert(r, value)
+        self._live.insert(r, 1)
+        self._index = None  # the rows above r moved
+
+    def _unfile_row(self, r: int) -> None:
+        nid = self._ids[r]
+        if nid == self._newest[0]:
+            self._newest = (None, ())
+        self._live[r] = 0
+        self._dead += 1
+        if self._index is not None:
+            self._index[nid - self._base] = -1
+        if self._dead >= _COMPACT_MIN and 2 * self._dead > len(self._live):
+            self._keep_rows(self, self._live, pack=True)
+
+    def _keep_rows(self, graph: "RefutationGraph", mask: bytearray, pack: bool) -> None:
+        """Replace this graph's rows with the rows of ``graph`` that
+        ``mask`` selects.  With ``pack``, as when a graph compacts itself,
+        their literals move to a new arena and the id index is rebuilt.
+        Without, the two graphs share ``graph``'s arena, which is safe
+        because a graph only ever appends to its arena, and this graph
+        finds ids by bisection."""
+        ids, left, right, pivot, starts, lens = (
+            array("i", compress(column, mask)) for column in graph._columns()
+        )
+        arena = graph._lits
+        if pack:
+            old, arena = arena, array("i")
+            for start, n in zip(starts, lens):
+                arena += old[start : start + n]
+            starts = array("i", accumulate(lens, initial=0))
+            del starts[-1]
+        self._ids, self._left, self._right, self._pivot = ids, left, right, pivot
+        self._start, self._len, self._lits = starts, lens, arena
+        self._live = bytearray(b"\x01") * len(ids)
+        self._dead = 0
+        self._newest = (None, ())
+        self._base = ids[0] if ids else 0
+        span = ids[-1] - self._base + 1 if ids else 0
+        self._index = None
+        if pack and _index_fits(span, len(ids)):
+            self._index = index = array("i", [-1]) * span
+            for r, nid in enumerate(ids):
+                index[nid - self._base] = r
 
     # -- construction -----------------------------------------------------
 
@@ -126,26 +312,21 @@ class RefutationGraph:
             wanted = self._next_id
         elif wanted < 1:
             raise ValueError("node id must be positive")
-        if wanted in self.nodes or wanted <= self._reserved:
+        ids = self._ids
+        if wanted <= self._reserved or (ids and wanted <= ids[-1] and self._row(wanted) >= 0):
             raise ValueError("node id %d already used" % wanted)
+        if wanted > _MAX:
+            raise ValueError("node id %d exceeds %d" % (wanted, _MAX))
         return wanted
-
-    def _premise(self, nid: int) -> Optional[ProofNode]:
-        """Node ``nid``, or the unfiled source reserved for it."""
-        node = self.nodes.get(nid)
-        if node is None and isinstance(nid, int) and 0 < nid <= self._reserved:
-            node = ProofNode(nid, self._sources[nid - 1])
-        return node
-
-    def _store(self, node: ProofNode) -> int:
-        self.nodes[node.id] = node
-        self._next_id = max(self._next_id, node.id + 1)
-        return node.id
 
     def add_source(self, clause: Clause, node_id: Optional[int] = None) -> int:
         """Append a source node; its id is the id of the formula clause it
         mirrors."""
-        return self._store(ProofNode(self._claim_id(node_id), clause))
+        nid = self._claim_id(node_id)
+        self._file(nid, _NONE, _NONE, _NONE, clause._lits)
+        if nid >= self._next_id:
+            self._next_id = nid + 1
+        return nid
 
     def add_node(
         self,
@@ -158,21 +339,43 @@ class RefutationGraph:
 
         The premises may be passed in either polarity order; the clause with
         the positive pivot occurrence is used as the positive side.  Raises
-        ValueError if the id is taken or the step breaks a rule of
-        ``_derive``.
+        ValueError if the id is taken or out of range, or the step breaks a
+        rule of ``_derive``.
         """
         nid = self._claim_id(node_id)
-        nodes = self.nodes
-        if left_id not in nodes or right_id not in nodes:
-            nodes = {p: node for p in (left_id, right_id) if (node := self._premise(p))}
-        lits = _derive(nodes, nid, left_id, right_id, pivot_var)
-        if nodes is not self.nodes:
-            self.nodes.update(nodes)  # the step holds: file its new sources
-        # File the premises' own id objects, not the caller's copies.
-        left, right = nodes[left_id].id, nodes[right_id].id
-        return self._store(ProofNode(nid, Clause._trusted(lits), left, right, pivot_var))
+        reserved, sources, locate = self._reserved, self._sources, self._locate
+        lits = _derive(
+            nid,
+            left_id,
+            right_id,
+            pivot_var,
+            sources[left_id - 1]._lits if 0 < left_id <= reserved else locate(left_id)[1],
+            sources[right_id - 1]._lits if 0 < right_id <= reserved else locate(right_id)[1],
+        )
+        self._file(nid, left_id, right_id, pivot_var, tuple(sorted(lits, key=abs)))
+        if nid >= self._next_id:
+            self._next_id = nid + 1
+        if left_id <= reserved:  # the step holds: file its new sources
+            self._src_filed[left_id] = 1
+        if right_id <= reserved:
+            self._src_filed[right_id] = 1
+        return nid
+
+    def prune(self, node_id: int) -> Optional[Tuple[int, int]]:
+        """Unfile resolvent ``node_id`` and return its premises; None, and
+        no change, when ``node_id`` is not a filed resolvent."""
+        r = self._row(node_id) if node_id > self._reserved else -1
+        if r < 0 or self._left[r] == _NONE:
+            return None
+        premises = self._left[r], self._right[r]
+        self._unfile_row(r)
+        return premises
 
     # -- access -----------------------------------------------------------
+
+    @property
+    def nodes(self) -> "NodeView":
+        return NodeView(self)
 
     def node(self, node_id: int) -> ProofNode:
         try:
@@ -180,16 +383,23 @@ class RefutationGraph:
         except KeyError:
             raise KeyError("no node with id %r" % (node_id,)) from None
 
+    def literals(self, node_id: int) -> Tuple[Literal, ...]:
+        """The literals of node ``node_id``, in ``Clause`` order."""
+        lits = self._locate(node_id)[1]
+        if lits is None:
+            raise KeyError("no node with id %r" % (node_id,))
+        return lits
+
     def node_ids(self) -> List[int]:
-        return sorted(self.nodes)
+        return list(self.nodes)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return self._src_filed.count(1) + len(self._live) - self._dead
 
     @property
     def size(self) -> int:
         """Number of resolvent (non-source) nodes."""
-        return sum(1 for n in self.nodes.values() if not n.is_source)
+        return sum(compress(map(_NONE.__ne__, self._left), self._live))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RefutationGraph):
@@ -199,28 +409,97 @@ class RefutationGraph:
     # -- derivations ------------------------------------------------------
 
     def reachable_from(self, node_id: int) -> Set[int]:
+        return set(self.extract_derivation(node_id).nodes)
+
+    def extract_derivation(self, node_id: int) -> "RefutationGraph":
+        """Subgraph of everything reachable from node_id, ids preserved.
+        It shares this graph's reserved sources.  A malformed graph can
+        reference premises that were never added; the checker reports
+        those, so the walk just skips them."""
         self.node(node_id)
-        seen: Set[int] = set()
+        sub = RefutationGraph()
+        sub._sources, sub._reserved = self._sources, self._reserved
+        sub._src_filed = bytearray(len(self._src_filed))
+        rows = bytearray(len(self._live))
         stack = [node_id]
         while stack:
             nid = stack.pop()
-            # A malformed graph can reference premises that were never
-            # added; the checker reports those, so the walk just skips them.
-            if nid in seen or nid not in self.nodes:
+            if 0 < nid <= self._reserved:
+                sub._src_filed[nid] = self._src_filed[nid]
                 continue
-            seen.add(nid)
-            node = self.nodes[nid]
-            if not node.is_source:
-                stack.append(node.left)
-                stack.append(node.right)
-        return seen
-
-    def extract_derivation(self, node_id: int) -> "RefutationGraph":
-        """Subgraph of everything reachable from node_id, ids preserved."""
-        sub = RefutationGraph()
-        for nid in sorted(self.reachable_from(node_id)):
-            sub._store(self.nodes[nid])
+            r = self._row(nid)
+            if r < 0 or rows[r]:
+                continue
+            rows[r] = 1
+            if self._left[r] != _NONE:
+                stack += (self._left[r], self._right[r])
+        sub._keep_rows(self, rows, pack=False)
+        sub._next_id = max(sub._ids[-1] if sub._ids else 0, sub._reserved) + 1
         return sub
+
+
+class NodeView(MutableMapping):
+    """The filed nodes of a RefutationGraph by id, iterated in id order.
+
+    Reading builds a ``ProofNode`` from the columns, so two reads give equal
+    nodes but not the same object.  Assigning stores the node's fields
+    (ints or None within the columns' range); an id that ``init_refutation``
+    reserved takes only the source it mirrors.  Deleting unfiles a node;
+    ``in`` means filed."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: RefutationGraph) -> None:
+        self._graph = graph
+
+    def __getitem__(self, nid: int) -> ProofNode:
+        graph = self._graph
+        r, lits = graph._locate(nid) if isinstance(nid, int) else (-1, None)
+        if lits is None:
+            raise KeyError(nid)
+        if r < 0:
+            return ProofNode(nid, graph._sources[nid - 1])
+        left, right, pivot = (
+            None if v == _NONE else v for v in (graph._left[r], graph._right[r], graph._pivot[r])
+        )
+        return ProofNode(nid, Clause._trusted(lits), left, right, pivot)
+
+    def __setitem__(self, nid: int, node: ProofNode) -> None:
+        graph = self._graph
+        if not 0 < nid <= _MAX:
+            raise ValueError("node id must be in 1..%d, got %d" % (_MAX, nid))
+        if nid <= graph._reserved:
+            if not (node.is_source and node.clause == graph._sources[nid - 1]):
+                raise ValueError("node id %d is reserved for formula clause %d" % (nid, nid))
+            graph._src_filed[nid] = 1
+            return
+        fields = (node.left, node.right, node.pivot)
+        if not all(-_MAX <= v <= _MAX for v in fields if v is not None):
+            raise ValueError("node %d holds a value beyond +-%d" % (nid, _MAX))
+        graph._file(nid, *(_NONE if v is None else v for v in fields), node.clause._lits)
+
+    def __delitem__(self, nid: int) -> None:
+        graph = self._graph
+        r, lits = graph._locate(nid) if isinstance(nid, int) else (-1, None)
+        if lits is None:
+            raise KeyError(nid)
+        if r < 0:
+            graph._src_filed[nid] = 0
+        else:
+            graph._unfile_row(r)
+
+    def __contains__(self, nid: object) -> bool:
+        return isinstance(nid, int) and self._graph._locate(nid)[1] is not None
+
+    def __iter__(self) -> Iterator[int]:
+        graph = self._graph
+        return chain(
+            compress(range(graph._reserved + 1), graph._src_filed),
+            compress(graph._ids, graph._live),
+        )
+
+    def __len__(self) -> int:
+        return len(self._graph)
 
 
 def init_refutation(formula: Formula) -> RefutationGraph:
@@ -228,6 +507,7 @@ def init_refutation(formula: Formula) -> RefutationGraph:
     filed as its source when ``add_node`` first uses it; resolvent ids start at m + 1."""
     graph = RefutationGraph()
     graph._sources, graph._reserved = formula.clauses, len(formula.clauses)
+    graph._src_filed = bytearray(graph._reserved + 1)
     graph._next_id = graph._reserved + 1
     return graph
 
@@ -244,65 +524,83 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
     node.  size counts resolvent nodes in the whole graph.
     """
     problems: List[str] = []
-    nodes = graph.nodes
-    order = sorted(nodes)
     size = 0
     empty_id: Optional[int] = None
-    for nid in order:
-        node = nodes[nid]
-        if empty_id is None and not node.clause:
+    last: Optional[int] = None
+    locate, lefts = graph._locate, graph._left
+    # The rows of the premises of each resolvent row, or -1; a source
+    # premise may read -1.
+    left_rows = array("i", [-1]) * len(lefts)
+    right_rows = array("i", left_rows)
+    # (row, literals) of the premises most often named, found without a
+    # lookup: every valid source (ids put the sources first), with row -1,
+    # and the last resolvent found valid, as its derived literal set.
+    known: Dict[int, Tuple[int, Collection[Literal]]] = {}
+    newest = None
+    for r, nid, left, right, pivot, lits in graph._records():
+        last = nid
+        if empty_id is None and not lits:
             empty_id = nid
         try:
-            if node.is_source:
-                _source(formula, nid, set(node.clause._lits))
+            if left == _NONE:
+                known[nid] = -1, _source(formula, nid, set(lits))._lits
                 continue
             size += 1
-            derived = _derive(nodes, nid, node.left, node.right, node.pivot)
-            if not _same_literals(derived, node.clause):
+            (left_rows[r], left_lits), (right_rows[r], right_lits) = (
+                known.get(left) or locate(left),
+                known.get(right) or locate(right),
+            )
+            pivot = None if pivot == _NONE else pivot
+            derived = _derive(nid, left, right, pivot, left_lits, right_lits)
+            if not _same_literals(derived, lits):
                 raise ValueError("literals differ from recomputed resolvent")
+            known.pop(newest, None)
+            known[nid], newest = (r, derived), nid
         except ValueError as exc:
             problems.append("node %d: %s" % (nid, exc))
     valid = not problems
     complete = empty_id is not None
 
-    # The derivation is every node reachable from the sink; ``info`` maps
-    # each of its ids to the number of premise slots of derivation nodes it
-    # fills, and a resolvent filling two breaks tree-likeness.  The
-    # ascending pass then replaces each count with the pivots at or below
-    # the node, a bitmask with one bit per distinct pivot, numbered in
-    # first-seen order; a pivot already at or below a premise puts the same
-    # pivot twice on a path.  Ids are topologically ordered, so a premise
-    # contributes its mask only when its id is lower than the node's.
-    info: Dict[int, int] = {empty_id if complete else order[-1]: 0} if order else {}
-    stack = list(info)
+    # The derivation is every resolvent reachable from the sink, found by
+    # a walk over the rows; ``uses`` counts the premise slots of derivation
+    # nodes each fills (1 marks the sink, 2 one slot, 3 more), and a
+    # resolvent filling two breaks tree-likeness.  The ascending pass then
+    # gives each resolvent the pivots at or below it, a bitmask with one
+    # bit per distinct pivot, numbered in first-seen order; a pivot already
+    # at or below a premise puts the same pivot twice on a path.  Rows are
+    # in id order, which is topological, so a premise contributes its mask
+    # only when its row is lower than the node's; a mask used once is
+    # dropped when used.  Sources fill no bit and are skipped.
+    uses = bytearray(len(lefts))
+    sink = locate(empty_id if complete else last)[0] if last is not None else -1
+    stack = [sink] if sink >= 0 and lefts[sink] != _NONE else []
+    if stack:
+        uses[sink] = 1
     while stack:
-        node = nodes[stack.pop()]
-        if not node.is_source:
-            for premise in (node.left, node.right):
-                if premise in info:
-                    info[premise] += 1
-                elif premise in nodes:  # dangling ids were reported above
-                    info[premise] = 1
-                    stack.append(premise)
+        r = stack.pop()
+        for premise in (left_rows[r], right_rows[r]):
+            if premise < 0 or lefts[premise] == _NONE:
+                continue
+            if not uses[premise]:
+                uses[premise] = 2
+                stack.append(premise)
+            elif uses[premise] < 3:
+                uses[premise] += 1
     tree_like = regular = True
-    bit_of: Dict[Variable, int] = {}
-    for nid in order:
-        if nid not in info:
-            continue
-        node = nodes[nid]
-        if node.is_source:
-            info[nid] = 0
-            continue
-        if info[nid] > 1:
+    bit_of: Dict[int, int] = {}
+    mask_of: Dict[int, int] = {}
+    pivots = graph._pivot
+    for r in compress(range(len(uses)), uses):
+        if uses[r] == 3:
             tree_like = False
         mask = 0
-        for premise in (node.left, node.right):
-            if premise in info and premise < nid:
-                mask |= info[premise]
-        bit = bit_of.setdefault(node.pivot, 1 << len(bit_of))
+        for premise in (left_rows[r], right_rows[r]):
+            if 0 <= premise < r and uses[premise]:
+                mask |= mask_of[premise] if uses[premise] == 3 else mask_of.pop(premise)
+        bit = bit_of.setdefault(pivots[r], 1 << len(bit_of))
         if mask & bit:
             regular = False
-        info[nid] = mask | bit
+        mask_of[r] = mask | bit
     return CheckReport(
         valid=valid,
         complete=complete,
@@ -315,27 +613,14 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
 
 def export_trace(graph: RefutationGraph) -> str:
     lines = ["p trace\n"]
-    nodes = graph.nodes
-    for nid in sorted(nodes):
-        node = nodes[nid]
-        lits = " ".join(map(str, node.clause))
-        if node.is_source:
+    for _, nid, left, right, pivot, lits in graph._records():
+        text = " ".join(map(str, lits))
+        if left == _NONE:
             head = "o %d" % nid
         else:
-            head = "r %d %d %d %d" % (nid, node.pivot, node.left, node.right)
-        lines.append(("%s %s 0\n" % (head, lits)) if lits else ("%s 0\n" % head))
+            head = "r %d %d %d %d" % (nid, pivot, left, right)
+        lines.append(("%s %s 0\n" % (head, text)) if text else ("%s 0\n" % head))
     return "".join(lines)
-
-
-def _lines(text: str, chunk: int = 4096) -> Iterator[str]:
-    """``text.splitlines()``, split a piece at a time: each piece ends just
-    after the first newline ``chunk`` or more characters in, and no line
-    boundary straddles a newline, so the pieces give the same lines."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + chunk) + 1 or len(text)
-        yield from text[start:end].splitlines()
-        start = end
 
 
 def parse_trace(text: str, formula: Formula) -> RefutationGraph:
@@ -344,8 +629,9 @@ def parse_trace(text: str, formula: Formula) -> RefutationGraph:
     Errors, each prefixed with ``line N: ``: a missing header, an unknown
     or unterminated record, a non-integer token, a record too short for its
     kind, a zero literal, an 'o' record that breaks a rule of ``_source``
-    or reuses an id, an 'r' record that ``add_node`` rejects, and an 'r'
-    record whose literals differ from the recomputed resolvent.
+    or reuses an id, an 'r' record that ``add_node`` rejects, a value the
+    graph's columns cannot hold, and an 'r' record whose literals differ
+    from the recomputed resolvent.
     """
     graph = RefutationGraph()
     header_seen = False
@@ -385,8 +671,9 @@ def parse_trace(text: str, formula: Formula) -> RefutationGraph:
                 graph.add_source(_source(formula, numbers[0], lits), numbers[0])
             else:
                 nid, pivot_var, left_id, right_id = numbers[:4]
+                arena_end = len(graph._lits)  # add_node appends the resolvent's literals
                 graph.add_node(left_id, right_id, pivot_var, node_id=nid)
-                if not _same_literals(lits, graph.nodes[nid].clause):
+                if not _same_literals(lits, graph._lits[arena_end:]):
                     raise ValueError("literals differ from recomputed resolvent")
         except ValueError as exc:
             raise ValueError("line %d: %s" % (line_no, exc)) from None
@@ -400,19 +687,15 @@ def export_dot(graph: RefutationGraph) -> str:
     the pivot literal as it occurs in the *other* premise (the polarity the
     edge's source clause lacks)."""
     lines = ["digraph refutation {\n", "  rankdir=BT;\n"]
-    order = graph.node_ids()
-    for nid in order:
-        node = graph.nodes[nid]
-        label = " ".join(map(str, node.clause)) or "empty"
-        shape = "box" if node.is_source else "ellipse"
+    for _, nid, left, _, _, lits in graph._records():
+        label = " ".join(map(str, lits)) or "empty"
+        shape = "box" if left == _NONE else "ellipse"
         lines.append('  n%d [label="%s", shape=%s];\n' % (nid, label, shape))
-    for nid in order:
-        node = graph.nodes[nid]
-        if node.is_source:
+    for _, nid, left, right, pivot, _ in graph._records():
+        if left == _NONE:
             continue
-        for premise in (node.left, node.right):
-            premise_clause = graph.nodes[premise].clause
-            edge_lit = -node.pivot if node.pivot in premise_clause else node.pivot
+        for premise in (left, right):
+            edge_lit = -pivot if pivot in graph.literals(premise) else pivot
             lines.append('  n%d -> n%d [label="%d"];\n' % (premise, nid, edge_lit))
     lines.append("}\n")
     return "".join(lines)

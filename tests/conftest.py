@@ -70,7 +70,9 @@ def reference_check_refutation(graph: RefutationGraph, formula: Formula) -> Chec
                 _source(formula, nid, set(node.clause._lits))
                 continue
             size += 1
-            derived = _derive(nodes, nid, node.left, node.right, node.pivot)
+            premises = [nodes[p].clause.literals if p in nodes else None
+                        for p in (node.left, node.right)]
+            derived = _derive(nid, node.left, node.right, node.pivot, *premises)
             if not _same_literals(derived, node.clause):
                 raise ValueError("literals differ from recomputed resolvent")
         except ValueError as exc:

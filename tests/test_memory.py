@@ -13,9 +13,16 @@ a reachable set, a ``used`` set and an ``at_or_below`` dict took about
 peaked about 140 KB above the graph it returned, and a finished solver
 that kept its search state held about 150 KB beyond its outcome.  A
 solver that filed a proof source for every input clause at set-up took
-337 and 438 bytes per clause on the two set-up tests below."""
+337 and 438 bytes per clause on the two set-up tests below.  A proof graph
+that kept a dict of ``ProofNode`` objects, each with its ``Clause`` and
+literal tuple, took about 318 bytes per resolvent in a solver's graph and
+268 per node in a parsed one, and a plain ``sss`` run's graph kept every
+resolvent it ever added; ``parse_dimacs`` reading its text through
+``splitlines()`` peaked about 126 KB above the formula below."""
 import gc
+import sys
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -28,7 +35,9 @@ from proofsat import (
     gen_bcp_separation,
     gen_random_kcnf,
     init_refutation,
+    parse_dimacs,
     parse_trace,
+    write_dimacs,
 )
 
 
@@ -123,16 +132,18 @@ def large_refutation():
 
 
 def test_checker_scratch_on_a_large_refutation(large_refutation):
-    # About 130 KB: one map from node id to use count, then pivot mask.
+    # About 35 KB: premise rows and a use count per row, and the pivot
+    # masks not yet used; one map from node id to use count, then pivot
+    # mask, took about 130 KB.
     formula, proof = large_refutation
     report = []
     peak = traced_peak(lambda: report.append(check_refutation(proof, formula)))
     assert report[0].valid and report[0].complete and report[0].tree_like
-    assert peak < 256 * 1024, "check_refutation peaked at %d KB" % (peak // 1024)
+    assert peak < 80 * 1024, "check_refutation peaked at %d KB" % (peak // 1024)
 
 
 def test_trace_parser_peak_above_its_graph(large_refutation):
-    # About 11 KB above the 425 KB graph: one piece of the text and its
+    # About 14 KB above the 80 KB graph: one piece of the text and its
     # lines at a time.
     formula, proof = large_refutation
     text = export_trace(proof)
@@ -147,7 +158,7 @@ def test_trace_parser_peak_above_its_graph(large_refutation):
         tracemalloc.stop()
     assert graph[0] == proof
     over = peak - kept
-    assert kept - before > 256 * 1024  # the graph itself is counted in kept
+    assert kept - before > 64 * 1024  # the graph itself is counted in kept
     assert over < 64 * 1024, "parse_trace peaked %d KB above its graph" % (over // 1024)
 
 
@@ -168,3 +179,110 @@ def test_finished_solver_keeps_only_its_outcome():
         tracemalloc.stop()
     assert outcome.verdict == "UNSAT"
     assert retained < 16 * 1024, "finished solver holds %d KB" % (retained // 1024)
+
+
+def test_solver_graph_bytes_per_resolvent():
+    # About 78 bytes per resolvent left in the graph of a SAT run, dead
+    # rows and the id index included.
+    formula = gen_random_kcnf(50, 213, 3, 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        solver = Solver(formula, SolverConfig(bcp=True))
+        graph = solver.solve().graph
+        del solver
+        gc.collect()
+        with_graph = tracemalloc.get_traced_memory()[0]
+        resolvents = graph.size
+        del graph
+        gc.collect()
+        freed = with_graph - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert resolvents == 1285
+    per_resolvent = freed / resolvents
+    assert per_resolvent < 160, "the graph took %d B per resolvent" % per_resolvent
+
+
+def test_parsed_graph_bytes_per_node():
+    # About 58 bytes per node: 1,941 nodes of mean width 5.6.
+    formula = gen_random_kcnf(40, 170, 3, 1)
+    text = export_trace(Solver(formula, SolverConfig(bcp=True)).solve().proof)
+    graph = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph.append(parse_trace(text, formula))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(graph[0]) == 1941
+    per_node = kept / len(graph[0])
+    assert per_node < 128, "the parsed graph took %d B per node" % per_node
+
+
+def store_bytes(graph):
+    """Bytes of a graph's columns, arena, flags and id index."""
+    return sum(sys.getsizeof(v) for v in vars(graph).values() if isinstance(v, (array, bytearray)))
+
+
+def test_store_follows_the_nodes_kept():
+    # Plain sss adds 46,762 resolvents and keeps 11,304 (plus 136 sources);
+    # compaction holds the store to about 91 bytes per node kept, where
+    # keeping every row would take about 250.
+    formula = gen_random_kcnf(40, 170, 3, 1)
+    outcome = Solver(formula, SolverConfig()).solve()
+    graph = outcome.graph
+    assert (outcome.stats.nodes_added, graph.size) == (46762, 11304)
+    assert len(graph._ids) < 2 * graph.size + 64
+    per_node = store_bytes(graph) / len(graph)
+    assert per_node < 150, "the store took %d B per node kept" % per_node
+
+
+def test_sparse_trace_ids_cost_memory_by_record():
+    # The 337-resolvent refutation of gen_random_kcnf(30, 150, 3, 1) with
+    # resolvent id k renamed to k * 10**6: parsing it peaks at about 40 KB,
+    # the same as with the original ids, and ids near 10**12 are rejected
+    # as they are read.
+    formula = gen_random_kcnf(30, 150, 3, 1)
+    records = export_trace(Solver(formula, SolverConfig(bcp=True)).solve().proof).splitlines()
+    m = len(formula)
+
+    def renamed(shift):
+        lines = []
+        for record in records[1:]:
+            tokens = record.split()
+            if tokens[0] == "r":
+                for k in (1, 3, 4):
+                    if int(tokens[k]) > m:
+                        tokens[k] = str(int(tokens[k]) * shift)
+            lines.append(" ".join(tokens))
+        return "p trace\n" + "\n".join(lines) + "\n"
+
+    graph = []
+    peak = traced_peak(lambda: graph.append(parse_trace(renamed(10**6), formula)))
+    report = check_refutation(graph[0], formula)
+    assert report.valid and report.complete and report.size == 337
+    assert peak < 256 * 1024, "parse_trace peaked at %d KB" % (peak // 1024)
+    with pytest.raises(ValueError, match=r"^line \d+: node id \d+ exceeds 2147483647$"):
+        parse_trace(renamed(10**12), formula)
+
+
+def test_dimacs_parser_peak_above_its_formula():
+    # About 13 KB above the 282 KB formula: one piece of the text and its
+    # lines at a time.
+    text = write_dimacs(gen_bcp_separation(300))
+    formula = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        formula.append(parse_dimacs(text))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(formula[0]) == 1808
+    over = peak - kept
+    assert kept - before > 256 * 1024  # the formula itself is counted in kept
+    assert over < 64 * 1024, "parse_dimacs peaked %d KB above its formula" % (over // 1024)

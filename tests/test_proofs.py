@@ -16,7 +16,8 @@ from proofsat import (
     parse_trace,
     solve,
 )
-from proofsat.proofs import ProofNode, _lines, _oriented_set, _resolvent_set, _source
+from proofsat.cnf import _lines
+from proofsat.proofs import ProofNode, _oriented_set, _resolvent_set, _source
 
 from conftest import (
     make_base_formula,
@@ -132,7 +133,7 @@ class TestRefutationGraph:
         g.nodes[5] = forged
         with pytest.raises(ValueError, match="node id 5 already used"):
             g.add_node(2, 3, 3)  # a valid step, which would be filed as 5
-        assert g.nodes[5] is forged
+        assert g.nodes[5] == forged
 
     def test_size_counts_resolvents_only(self):
         g = make_shared_node_refutation(make_base_formula())
@@ -391,7 +392,7 @@ FAULTS = [dangling_premise, later_premise, premise_used_twice, cycle,
 def test_checker_matches_reference_on_broken_graphs(fault, data):
     formula, base = data.draw(st.sampled_from(REFUTATIONS), label="refutation")
     graph = RefutationGraph()
-    graph.nodes = dict(base.nodes)
+    graph.nodes.update(base.nodes)
     for extra in [fault] + data.draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
         extra(graph.nodes, data.draw)
     assert check_refutation(graph, formula) == reference_check_refutation(graph, formula)
@@ -495,6 +496,125 @@ class TestTraceFormat:
         f = Formula(2, [(1, 2), (-1, -2)])
         with pytest.raises(ValueError, match=r"^line 4: resolvent of 1 and 2 on 1 is tautological"):
             parse_trace("p trace\no 1 1 2 0\no 2 -1 -2 0\nr 3 1 1 2 0\n", f)
+
+
+class TestNodeStore:
+    """The graph keeps its nodes in 32-bit columns; ``nodes`` is a view."""
+
+    def test_view_reads_equal_nodes_and_writes_through(self):
+        f = make_base_formula()
+        g = make_shared_node_refutation(f)
+        assert g.nodes[5] == g.nodes[5] and g.nodes[5] is not g.nodes[5]
+        assert g.nodes[5] == ProofNode(5, Clause([-2]), 2, 3, 3)
+        assert 5 in g.nodes and 9 not in g.nodes and "5" not in g.nodes
+        g.nodes[9] = ProofNode(9, Clause([1, -3]), left=8, right=None, pivot=None)
+        assert g.nodes[9] == ProofNode(9, Clause([1, -3]), left=8)
+        del g.nodes[9]
+        assert 9 not in g.nodes and len(g) == 8
+        with pytest.raises(KeyError):
+            del g.nodes[9]
+
+    def test_reserved_ids_take_only_their_source(self):
+        f = make_base_formula()
+        g = init_refutation(f)
+        g.nodes[2] = ProofNode(2, f.clause(2))
+        assert g.node_ids() == [2]
+        with pytest.raises(ValueError, match="reserved for formula clause 3"):
+            g.nodes[3] = ProofNode(3, Clause([-2]))
+        del g.nodes[2]
+        assert g.node_ids() == []
+        assert g.add_node(2, 3, 3) == 5  # an unfiled source is filed again on use
+        assert g.node_ids() == [2, 3, 5]
+
+    def test_pruned_nodes_are_compacted_away(self):
+        # 300 copies of (-2), most pruned: the rows left follow the nodes
+        # kept, and every kept node reads and resolves as before.
+        f = make_base_formula()
+        g = init_refutation(f)
+        copies = [g.add_node(2, 3, 3) for _ in range(300)]
+        kept = copies[::10]
+        for nid in copies:
+            if nid not in kept:
+                assert g.prune(nid) == (2, 3)
+        assert g.prune(copies[1]) is None  # already pruned
+        assert g.prune(2) is None  # a source is never pruned
+        assert g.node_ids() == [2, 3] + kept
+        assert len(g._ids) < 2 * len(kept) + 64
+        assert all(g.node(nid) == ProofNode(nid, Clause([-2]), 2, 3, 3) for nid in kept)
+        one = g.add_node(1, kept[7], 2)
+        assert g.literals(one) == (1,) and g.literals(g.add_node(4, one, 1)) == (2,)
+
+    def test_ids_out_of_order_are_kept_in_id_order(self):
+        f = make_base_formula()
+        text = "p trace\no 1 1 2 0\no 2 -2 3 0\no 3 -2 -3 0\no 4 -1 2 0\n"
+        text += "r 9 3 2 3 -2 0\nr 7 1 1 4 2 0\nr 10 2 7 9 0\n"
+        g = parse_trace(text, f)
+        assert g.node_ids() == [1, 2, 3, 4, 7, 9, 10]
+        report = check_refutation(g, f)
+        assert report.valid and report.complete and report.size == 3
+        records = ["r 7 1 1 4 2 0", "r 9 3 2 3 -2 0", "r 10 2 7 9 0"]
+        assert export_trace(g).splitlines()[5:] == records
+
+    def test_sparse_ids_up_to_the_column_limit(self):
+        f = make_base_formula()
+        renamed = {5: 10**6, 6: 10**9, 7: 2**31 - 2, 8: 2**31 - 1}
+        lines = []
+        for line in SHARED_TRACE.splitlines():
+            tokens = line.split()
+            if tokens[0] == "r":
+                tokens[1] = str(renamed[int(tokens[1])])
+                tokens[3:5] = [str(renamed.get(int(t), int(t))) for t in tokens[3:5]]
+            lines.append(" ".join(tokens))
+        text = "\n".join(lines) + "\n"
+        g = parse_trace(text, f)
+        assert export_trace(g) == text
+        assert check_refutation(g, f) == check_refutation(make_shared_node_refutation(f), f)
+        with pytest.raises(ValueError, match="node id 2147483648 exceeds 2147483647"):
+            g.add_node(2, 3, 3)
+
+
+HUGE_IDS = [10**12, 2**63, 2**64 + 5]
+
+
+@pytest.mark.parametrize("huge", HUGE_IDS)
+def test_hostile_ids_are_rejected_or_missing(huge):
+    f = make_base_formula()
+    head = "p trace\no 2 -2 3 0\no 3 -2 -3 0\n"
+    with pytest.raises(ValueError) as info:
+        parse_trace(head + "r %d 3 2 3 -2 0\n" % huge, f)
+    assert str(info.value) == "line 4: node id %d exceeds 2147483647" % huge
+    with pytest.raises(ValueError) as info:
+        parse_trace(head + "r 5 3 2 %d -2 0\n" % huge, f)
+    assert str(info.value) == "line 4: premise id not defined earlier"
+    with pytest.raises(ValueError) as info:
+        parse_trace(head + "o %d 1 2 0\n" % huge, f)
+    assert str(info.value) == "line 4: no formula clause with id %d" % huge
+    g = init_refutation(f)
+    with pytest.raises(ValueError, match="node id %d exceeds" % huge):
+        g.add_node(2, 3, 3, node_id=huge)
+    with pytest.raises(ValueError, match="premise id not defined earlier"):
+        g.add_node(2, huge, 3)
+    with pytest.raises(ValueError, match="node id must be in 1..2147483647"):
+        g.nodes[huge] = ProofNode(huge, Clause([-2]), 2, 3, 3)
+    for fields in ({"left": huge}, {"right": -huge}, {"pivot": huge}):
+        forged = ProofNode(5, Clause([-2]), **{"left": 2, "right": 3, "pivot": 3, **fields})
+        with pytest.raises(ValueError, match="node 5 holds a value beyond"):
+            g.nodes[5] = forged
+    assert g.node_ids() == []
+
+
+def test_hostile_literals_are_rejected():
+    big = 2**40
+    f = Formula(big, [(big,), (-big,)])
+    with pytest.raises(ValueError) as info:
+        parse_trace("p trace\no 1 %d 0\n" % big, f)
+    assert str(info.value) == "line 2: node 1 holds a value beyond +-2147483647"
+    g = init_refutation(f)
+    with pytest.raises(ValueError, match="node 3 holds a value beyond"):
+        g.add_node(1, 2, big)
+    assert g.node_ids() == [] and len(g._lits) == 0
+    with pytest.raises(ValueError, match="node 5 holds a value beyond"):
+        RefutationGraph().nodes[5] = ProofNode(5, Clause([big]))
 
 
 class TestDotExport:
