@@ -20,25 +20,20 @@ literal or pivot within +-(2**31 - 1).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count
 from operator import add
-from typing import Collection, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .cnf import Clause, Formula, Literal, Variable, _lines, _tautological
 
 _MAX = 2**31 - 1  # the largest id, literal or pivot a column holds
 _NONE = -_MAX - 1  # a source's premises and pivot, and any None, in a column
 _COMPACT_MIN = 64  # dead rows below this many are never compacted
-
-
-def _index_fits(span: int, rows: int) -> bool:
-    """Whether an id index over ``span`` ids may serve ``rows`` rows: at
-    most 8 slots a row, beyond a slack of 64, so hostile ids fall back to
-    bisection rather than allocate by the largest id."""
-    return span <= 8 * rows + 64
+_PAGE_BITS = 6  # an id's bits above these pick its page of row slots
+_PAGE_MASK = (1 << _PAGE_BITS) - 1
+_EMPTY_PAGE = array("i", [-1]) * (1 << _PAGE_BITS)
 
 
 class ProofNode(NamedTuple):
@@ -140,16 +135,18 @@ class RefutationGraph:
     Each filed node is a row, except a source reserved by
     ``init_refutation``: its id, premises, pivot, and the start and length
     of its literals in one flat arena, each an ``array('i')``, and a byte
-    saying whether the row is still filed.  Rows stay in ascending id
-    order.  An id is found through an index over the ids from the first
-    row's on while they are dense enough (``_index_fits``), else by
-    bisection, so nothing is sized by the largest id.  Unfiling a row
-    leaves it dead; once dead rows outnumber live ones, the columns are
-    rebuilt from the live rows, so the store follows the nodes filed, not
-    every node ever added.  Ids 1..``_reserved`` belong to the clauses of
-    the formula given to ``init_refutation``: such a source is filed by a
-    flag and reads its literals from the clause it mirrors.  ``nodes`` is
-    a mapping view of the filed nodes.
+    saying whether the row is still filed.  Rows are appended as nodes
+    arrive.  A filed id finds its row through a page table: the id's high
+    bits pick a page of 64 row slots, made on first use, and its low bits
+    the slot, so memory follows the ids filed, not the largest one, and no
+    row moves when a node arrives below a higher id.  Unfiling a row
+    leaves it dead; once dead rows outnumber live ones, or a read in id
+    order finds rows out of it, the columns are rebuilt from the live rows
+    in id order, so the store follows the nodes filed, not every node ever
+    added.  Ids 1..``_reserved`` belong to the clauses of the formula given
+    to ``init_refutation``: such a source is filed by a flag and reads its
+    literals from the clause it mirrors.  ``nodes`` is a mapping view of
+    the filed nodes.
     """
 
     def __init__(self) -> None:
@@ -162,13 +159,10 @@ class RefutationGraph:
         self._lits = array("i")
         self._live = bytearray()
         self._dead = 0
-        # _index[nid - _base] is the row of filed id nid, or -1; None while
-        # the ids are too sparse for it, when rows are found by bisection.
-        self._index: Optional[array] = array("i")
-        self._base = 0
-        # The id and literal tuple of the last row while it is the newest
-        # node added: the premise a solver or a trace most often names next.
-        self._newest: Tuple[Optional[int], Tuple[Literal, ...]] = (None, ())
+        # id >> _PAGE_BITS -> a page of the rows, or -1, of those ids; None
+        # until the first lookup after the rows were rebuilt.
+        self._pages: Optional[Dict[int, array]] = {}
+        self._ordered = True  # whether the rows are in id order
         self._next_id = 1
         self._sources: Sequence[Clause] = ()
         self._reserved = 0  # ids 1.._reserved: _sources' clauses, filed on first use
@@ -181,107 +175,110 @@ class RefutationGraph:
 
     def _row(self, nid: int) -> int:
         """The row of filed node ``nid``, or -1; a reserved source has none."""
-        index = self._index
-        if index is not None:
-            i = nid - self._base
-            return index[i] if 0 <= i < len(index) else -1
-        ids = self._ids
-        r = bisect_left(ids, nid)
-        return r if r < len(ids) and ids[r] == nid and self._live[r] else -1
+        pages = self._pages
+        if pages is None:
+            pages = self._paged()
+        page = pages.get(nid >> _PAGE_BITS)
+        return -1 if page is None else page[nid & _PAGE_MASK]
+
+    def _set_row(self, nid: int, r: int) -> None:
+        pages = self._pages
+        if pages is None:
+            pages = self._paged()
+        page = pages.get(nid >> _PAGE_BITS)
+        if page is None:
+            page = pages[nid >> _PAGE_BITS] = array("i", _EMPTY_PAGE)
+        page[nid & _PAGE_MASK] = r
+
+    def _paged(self) -> Dict[int, array]:
+        """Build the page table of the live rows."""
+        self._pages = {}
+        for r, nid in compress(enumerate(self._ids), self._live):
+            self._set_row(nid, r)
+        return self._pages
+
+    def _in_order(self) -> None:
+        """Rebuild the rows in id order if a node was filed below a higher id."""
+        if not self._ordered:
+            self._repack()
 
     def _records(self) -> Iterator[Tuple[int, int, int, int, int, Sequence[Literal]]]:
         """(row, id, left, right, pivot, literals) of every filed node, by
         id, with None stored as ``_NONE`` and row -1 for a reserved source."""
+        self._in_order()
         sources = self._sources
         reserved = (
             (-1, nid, _NONE, _NONE, _NONE, sources[nid - 1]._lits)
             for nid in compress(range(self._reserved + 1), self._src_filed)
         )
-        starts = self._start
-        runs = map(self._lits.__getitem__, map(slice, starts, map(add, starts, self._len)))
-        rows = zip(count(), self._ids, self._left, self._right, self._pivot, runs)
-        return chain(reserved, compress(rows, self._live))
+        live = self._live
+        starts = compress(self._start, live)
+        ends = map(add, compress(self._start, live), compress(self._len, live))
+        runs = map(self._lits.__getitem__, map(slice, starts, ends))
+        fields = (compress(column, live) for column in (count(), *self._columns()[:4]))
+        return chain(reserved, zip(*fields, runs))
 
-    def _locate(self, nid: int) -> Tuple[int, Optional[Tuple[Literal, ...]]]:
+    def _locate(self, nid: int) -> Tuple[int, Optional[Sequence[Literal]]]:
         """(row, literals) of node ``nid``: row -1 for a reserved source,
         and (-1, None) when ``nid`` is not filed."""
         if 0 < nid <= self._reserved:
             return -1, (self._sources[nid - 1]._lits if self._src_filed[nid] else None)
-        if nid == self._newest[0]:
-            return len(self._ids) - 1, self._newest[1]
         r = self._row(nid)
         if r < 0:
             return r, None
         start = self._start[r]
-        return r, tuple(self._lits[start : start + self._len[r]])
+        return r, self._lits[start : start + self._len[r]]
 
     def _file(self, nid: int, left: int, right: int, pivot: int, lits: Tuple[Literal, ...]) -> None:
-        """Store node ``nid`` as a row, in id order, over any row with its
-        id.  ``lits`` are sorted by variable, as ``Clause`` sorts them, and
+        """Append node ``nid`` as a row; a filed row with its id is unfiled.
+        ``lits`` are sorted by variable, as ``Clause`` sorts them, and
         ``nid``, ``left`` and ``right`` lie in the columns' range.  Raises
         ValueError, storing nothing, when a literal or the pivot does not."""
-        n = len(lits)
-        if (n and abs(lits[-1]) > _MAX) or pivot > _MAX:
+        if (lits and abs(lits[-1]) > _MAX) or pivot > _MAX:
             raise ValueError("node %d holds a value beyond +-%d" % (nid, _MAX))
-        arena, ids, index = self._lits, self._ids, self._index
-        start = len(arena)
+        ids = self._ids
+        if ids and (nid <= ids[-1] or not self._ordered):
+            r = self._row(nid)
+            if r >= 0:
+                self._unfile_row(r)
+                ids = self._ids  # compaction may have rebuilt the columns
+            if ids and nid < ids[-1]:
+                self._ordered = False
+        arena = self._lits
+        self._set_row(nid, len(ids))
+        ids.append(nid)
+        self._left.append(left)
+        self._right.append(right)
+        self._pivot.append(pivot)
+        self._start.append(len(arena))
+        self._len.append(len(lits))
+        self._live.append(1)
         arena.extend(lits)
-        r = len(ids)
-        if not r or nid > ids[-1]:
-            if index is not None:
-                if not r:
-                    self._base = nid
-                gap = nid - self._base - len(index)
-                if gap and not _index_fits(len(index) + gap + 1, r + 1):
-                    self._index = None
-                else:
-                    if gap:
-                        index.extend(repeat(-1, gap))
-                    index.append(r)
-            ids.append(nid)
-            self._left.append(left)
-            self._right.append(right)
-            self._pivot.append(pivot)
-            self._start.append(start)
-            self._len.append(n)
-            self._live.append(1)
-            self._newest = nid, lits
-            return
-        values = (nid, left, right, pivot, start, n)
-        r = bisect_left(ids, nid)
-        if ids[r] == nid:  # overwrite; the old literals stay until compaction
-            self._newest = (None, ())
-            for column, value in zip(self._columns(), values):
-                column[r] = value
-            if not self._live[r]:
-                self._live[r] = 1
-                self._dead -= 1
-                if index is not None:
-                    index[nid - self._base] = r
-            return
-        for column, value in zip(self._columns(), values):
-            column.insert(r, value)
-        self._live.insert(r, 1)
-        self._index = None  # the rows above r moved
 
     def _unfile_row(self, r: int) -> None:
-        nid = self._ids[r]
-        if nid == self._newest[0]:
-            self._newest = (None, ())
+        self._set_row(self._ids[r], -1)
         self._live[r] = 0
         self._dead += 1
-        if self._index is not None:
-            self._index[nid - self._base] = -1
         if self._dead >= _COMPACT_MIN and 2 * self._dead > len(self._live):
-            self._keep_rows(self, self._live, pack=True)
+            self._repack()
+
+    def _repack(self) -> None:
+        """Rebuild the store from its live rows, in id order, as a clause
+        allocator reclaims deleted clauses."""
+        if not self._ordered:
+            order = sorted(range(len(self._ids)), key=self._ids.__getitem__)
+            self._ids, self._left, self._right, self._pivot, self._start, self._len = (
+                array("i", map(column.__getitem__, order)) for column in self._columns()
+            )
+            self._live = bytearray(map(self._live.__getitem__, order))
+        self._keep_rows(self, self._live, pack=True)
 
     def _keep_rows(self, graph: "RefutationGraph", mask: bytearray, pack: bool) -> None:
-        """Replace this graph's rows with the rows of ``graph`` that
-        ``mask`` selects.  With ``pack``, as when a graph compacts itself,
-        their literals move to a new arena and the id index is rebuilt.
-        Without, the two graphs share ``graph``'s arena, which is safe
-        because a graph only ever appends to its arena, and this graph
-        finds ids by bisection."""
+        """Replace this graph's rows with the rows of ``graph``, which are in
+        id order, that ``mask`` selects.  With ``pack``, as when a graph
+        compacts itself, their literals move to a new arena.  Without, the
+        two graphs share ``graph``'s arena, which is safe because a graph
+        only ever appends to its arena."""
         ids, left, right, pivot, starts, lens = (
             array("i", compress(column, mask)) for column in graph._columns()
         )
@@ -296,14 +293,7 @@ class RefutationGraph:
         self._start, self._len, self._lits = starts, lens, arena
         self._live = bytearray(b"\x01") * len(ids)
         self._dead = 0
-        self._newest = (None, ())
-        self._base = ids[0] if ids else 0
-        span = ids[-1] - self._base + 1 if ids else 0
-        self._index = None
-        if pack and _index_fits(span, len(ids)):
-            self._index = index = array("i", [-1]) * span
-            for r, nid in enumerate(ids):
-                index[nid - self._base] = r
+        self._pages, self._ordered = None, True
 
     # -- construction -----------------------------------------------------
 
@@ -312,8 +302,7 @@ class RefutationGraph:
             wanted = self._next_id
         elif wanted < 1:
             raise ValueError("node id must be positive")
-        ids = self._ids
-        if wanted <= self._reserved or (ids and wanted <= ids[-1] and self._row(wanted) >= 0):
+        if wanted <= self._reserved or self._row(wanted) >= 0:
             raise ValueError("node id %d already used" % wanted)
         if wanted > _MAX:
             raise ValueError("node id %d exceeds %d" % (wanted, _MAX))
@@ -344,14 +333,12 @@ class RefutationGraph:
         """
         nid = self._claim_id(node_id)
         reserved, sources, locate = self._reserved, self._sources, self._locate
-        lits = _derive(
-            nid,
-            left_id,
-            right_id,
-            pivot_var,
-            sources[left_id - 1]._lits if 0 < left_id <= reserved else locate(left_id)[1],
-            sources[right_id - 1]._lits if 0 < right_id <= reserved else locate(right_id)[1],
-        )
+        try:  # a reserved source is read even before it is filed
+            left = sources[left_id - 1]._lits if 0 < left_id <= reserved else locate(left_id)[1]
+            right = sources[right_id - 1]._lits if 0 < right_id <= reserved else locate(right_id)[1]
+        except TypeError:  # an id that is not an int names no node
+            left = right = None
+        lits = _derive(nid, left_id, right_id, pivot_var, left, right)
         self._file(nid, left_id, right_id, pivot_var, tuple(sorted(lits, key=abs)))
         if nid >= self._next_id:
             self._next_id = nid + 1
@@ -388,7 +375,7 @@ class RefutationGraph:
         lits = self._locate(node_id)[1]
         if lits is None:
             raise KeyError("no node with id %r" % (node_id,))
-        return lits
+        return tuple(lits)
 
     def node_ids(self) -> List[int]:
         return list(self.nodes)
@@ -417,6 +404,7 @@ class RefutationGraph:
         reference premises that were never added; the checker reports
         those, so the walk just skips them."""
         self.node(node_id)
+        self._in_order()
         sub = RefutationGraph()
         sub._sources, sub._reserved = self._sources, self._reserved
         sub._src_filed = bytearray(len(self._src_filed))
@@ -493,6 +481,7 @@ class NodeView(MutableMapping):
 
     def __iter__(self) -> Iterator[int]:
         graph = self._graph
+        graph._in_order()
         return chain(
             compress(range(graph._reserved + 1), graph._src_filed),
             compress(graph._ids, graph._live),
@@ -527,35 +516,26 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
     size = 0
     empty_id: Optional[int] = None
     last: Optional[int] = None
+    graph._in_order()
     locate, lefts = graph._locate, graph._left
-    # The rows of the premises of each resolvent row, or -1; a source
-    # premise may read -1.
+    # The rows of the premises of each resolvent row, or -1; a reserved
+    # source premise reads -1.
     left_rows = array("i", [-1]) * len(lefts)
     right_rows = array("i", left_rows)
-    # (row, literals) of the premises most often named, found without a
-    # lookup: every valid source (ids put the sources first), with row -1,
-    # and the last resolvent found valid, as its derived literal set.
-    known: Dict[int, Tuple[int, Collection[Literal]]] = {}
-    newest = None
     for r, nid, left, right, pivot, lits in graph._records():
         last = nid
         if empty_id is None and not lits:
             empty_id = nid
         try:
             if left == _NONE:
-                known[nid] = -1, _source(formula, nid, set(lits))._lits
+                _source(formula, nid, set(lits))
                 continue
             size += 1
-            (left_rows[r], left_lits), (right_rows[r], right_lits) = (
-                known.get(left) or locate(left),
-                known.get(right) or locate(right),
-            )
+            (left_rows[r], left_lits), (right_rows[r], right_lits) = locate(left), locate(right)
             pivot = None if pivot == _NONE else pivot
             derived = _derive(nid, left, right, pivot, left_lits, right_lits)
             if not _same_literals(derived, lits):
                 raise ValueError("literals differ from recomputed resolvent")
-            known.pop(newest, None)
-            known[nid], newest = (r, derived), nid
         except ValueError as exc:
             problems.append("node %d: %s" % (nid, exc))
     valid = not problems
