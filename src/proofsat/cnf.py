@@ -205,7 +205,7 @@ def parse_dimacs(text: str) -> Formula:
                 seen_clauses += 1
                 if seen_clauses > num_clauses:
                     raise ValueError(
-                        "more clauses than the %d declared" % num_clauses
+                        "line %d: more clauses than the %d declared" % (line_no, num_clauses)
                     )
                 if _tautological(lits):
                     formula.tautologies_dropped += 1

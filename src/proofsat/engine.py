@@ -253,9 +253,6 @@ class Solver:
         self.clause_lits: List[Tuple[Literal, ...]] = [
             clause.literals for clause in self.formula.clauses
         ]
-        # The instance's clauses, which hash and compare as literal sets, so
-        # recording skips a duplicate in O(1); nothing else reads it.
-        self.clause_set: set = set(self.formula.clauses) if self.config.ccr else set()
         self.clause_len: List[int] = [len(lits) for lits in self.clause_lits]
         self.sat_count: List[int] = [0] * len(self.clause_lits)
         self.false_count: List[int] = [0] * len(self.clause_lits)
@@ -392,7 +389,6 @@ class Solver:
         d = self.d
         self.trail_var[d] = var
         self.trail_flipped[d] = 0
-        self.trail_parent[d] = 0
         self._assign(var, value, d)
 
     def _pop(self) -> None:
@@ -502,37 +498,26 @@ class Solver:
 
     def _run_sss(self) -> Iterator[tuple]:
         cfg = self.config
-        np_node = 0
-        np_lits: Optional[Tuple[Literal, ...]] = None
-        np_clause_id: Optional[int] = None  # instance id when np is an instance clause
         while True:
             if self.d == self.n:
                 # Every variable is assigned and nothing is falsified (a
-                # falsified clause would have kept the analysis loop going),
-                # so every clause is satisfied and there is nothing left to
-                # decide.
+                # falsified clause starts the analysis loop): all satisfied.
                 yield self._finish_sat()
                 return
-            np_node, np_lits, np_clause_id = 0, None, None
             yield self._decide()
             if self.num_sat == len(self.clause_lits):
                 yield self._finish_sat()
                 return
-            # conflict-analysis loop: pin a parent, flip, then either return
-            # to new decisions or backtrack on an instance conflict.  The
-            # blocking clause is the pending backtracking clause when the
-            # prefix falsifies it, else the lowest falsified clause id.
+            if not self.falsified:
+                continue
+            # conflict-analysis loop: pin the blocking clause (the lowest
+            # falsified one, later the clause _backtrack returns) as the
+            # parent and flip; search resumes once a flip falsifies nothing.
+            clause_id = min(self.falsified)
+            parent_node = self.recorded_node.get(clause_id, clause_id)
+            parent_lits = self.clause_lits[clause_id - 1]
             while True:
-                if np_lits is not None and all(self._lit_false(l) for l in np_lits):
-                    parent_node, parent_lits = np_node, np_lits
-                    yield (ConflictFound, np_clause_id)
-                elif self.falsified:
-                    blocking = min(self.falsified)
-                    parent_node = self.recorded_node.get(blocking, blocking)
-                    parent_lits = self.clause_lits[blocking - 1]
-                    yield (ConflictFound, blocking)
-                else:
-                    break
+                yield (ConflictFound, clause_id)
                 self.stats.conflicts += 1
                 if cfg.ncb:
                     move = self._ncb_target(parent_lits)
@@ -550,25 +535,33 @@ class Solver:
                 yield (Flip, d)
                 if cfg.debug_checks:
                     self._check_flip_parent(d, parent_lits)
-                if self.falsified:
-                    r = min(self.falsified)
-                    yield (ConflictFound, r)
-                    self.stats.conflicts += 1
-                    np_node = self.recorded_node.get(r, r)
-                    np_lits = self.clause_lits[r - 1]
-                    np_clause_id = r
-                    state = yield from self._backtrack(np_node, np_lits, np_clause_id)
-                    np_node, np_lits, np_clause_id = state
-                    if self.d == 0:
-                        yield self._finish_unsat(np_node)
-                        return
-                # otherwise the flip satisfied the parent clause; the
-                # analysis loop condition no longer holds and search resumes
+                if not self.falsified:
+                    break
+                r = min(self.falsified)
+                yield (ConflictFound, r)
+                self.stats.conflicts += 1
+                parent_node, parent_lits, clause_id = yield from self._backtrack(r)
+                if self.d == 0:
+                    yield self._finish_unsat(parent_node)
+                    return
 
-    def _backtrack(
-        self, np_node: int, np_lits: Tuple[Literal, ...], np_clause_id: Optional[int]
-    ):
+    def _backtrack(self, np_clause_id: int):
+        """From instance clause ``np_clause_id``, which a flip falsified,
+        resolve the backtracking clause with the parent of each flipped level
+        whose flip literal it holds, popping levels until it holds the flip
+        literal of an unflipped level d, or d is 0; return the clause as
+        (node, literals, instance id or None).
+
+        At a stop d > 0 the prefix falsifies it and no instance clause.  The
+        levels up to d are unchanged since a decision set d (the driver then
+        found nothing falsified) or a cdb re-seat did (of a variable whose
+        flip above d falsified nothing), and a clause recorded since holds
+        the flip literal of its own stop, above d.  A cdb-preset level stops
+        backtracking at once, to be pinned and flipped before any pop
+        reaches it, so no unflipped level is popped holding a parent."""
         cfg = self.config
+        np_node = self.recorded_node.get(np_clause_id, np_clause_id)
+        np_lits = self.clause_lits[np_clause_id - 1]
         while self.d > 0:
             d = self.d
             var = self.trail_var[d]
@@ -592,10 +585,8 @@ class Solver:
                 self.stats.pruned_resolution += self._abandon(self.trail_parent[d])
                 yield (BacktrackSkipRight, d)
             else:
-                if self.trail_parent[d]:
-                    # a substituted level being popped: its pre-set parent
-                    # derivation is lost with it
-                    self.stats.pruned_resolution += self._abandon(self.trail_parent[d])
+                if cfg.debug_checks and self.trail_parent[d]:
+                    raise InvariantViolation("unflipped level %d popped holding a parent" % d)
                 yield (BacktrackSkipLeft, d)
             self._pop()
             if cfg.cdb_1uip:
@@ -603,12 +594,15 @@ class Solver:
                 if sub is not None:
                     self.stats.cdb_substitutions += 1
                     yield (CdbSubstitute, *sub)
-        if cfg.ccr and self.d > 0:
-            recorded = self._ccr_record(np_node, np_lits)
-            if recorded is not None:
-                np_clause_id = recorded
+        if self.d > 0:
+            if cfg.debug_checks and self.falsified:
+                raise InvariantViolation(
+                    "clause %d falsified where backtracking stops" % min(self.falsified)
+                )
+            if cfg.ccr:
+                np_clause_id = self._ccr_record(np_node, np_lits)
                 self.stats.recorded_clauses += 1
-                yield (Record, recorded)
+                yield (Record, np_clause_id)
         return (np_node, np_lits, np_clause_id)
 
     # -- feature hooks ----------------------------------------------------
@@ -699,45 +693,23 @@ class Solver:
         self._push(var, value)
         return pruned
 
-    def _ccr_record(self, np_node: int, np_lits: Tuple[Literal, ...]) -> Optional[int]:
-        """Append the backtracking clause to the instance unless an equal
-        clause is already there.  The new clause is falsified by the current
-        prefix by construction; its counters are initialised accordingly.
-        Being falsified, it is not unit-open, so it joins the bcp heap only
-        once _unassign un-falsifies it."""
-        if not np_lits:
-            return None
-        clause = Clause(np_lits)
-        if clause in self.clause_set:
-            return None
-        self.clause_set.add(clause)
+    def _ccr_record(self, np_node: int, np_lits: Tuple[Literal, ...]) -> int:
+        """Append the clause where _backtrack stopped at d > 0; return its
+        id.  The prefix falsifies it there and no instance clause, so it is
+        new and starts falsified, which keeps it out of the bcp heap until
+        _unassign un-falsifies it."""
         i = len(self.clause_lits)
         cid = i + 1
-        self.clause_lits.append(tuple(np_lits))
+        self.clause_lits.append(np_lits)
         self.clause_len.append(len(np_lits))
+        self.sat_count.append(0)
+        self.false_count.append(len(np_lits))
         self.unit_queued.append(0)
         self._index(i)
-        sat = false = 0
-        for lit in np_lits:
-            var = abs(lit)
-            value = self.val[var]
-            if value is None:
-                continue
-            if (lit > 0) == value:
-                sat += 1
-            else:
-                false += 1
-        self.sat_count.append(sat)
-        self.false_count.append(false)
-        if sat:
-            self.num_sat += 1
-        if false == len(np_lits):
-            self.falsified.add(cid)
-        elif self.config.debug_checks:
-            raise InvariantViolation("recorded clause is not falsified")
+        self.falsified.add(cid)
         self.recorded_node[cid] = np_node
         self.recorded_nodes.add(np_node)
-        self.formula.add_clause(clause)
+        self.formula.add_clause(Clause(np_lits))
         return cid
 
     def _index(self, start: int) -> None:
@@ -762,8 +734,6 @@ class Solver:
         nodes (both stay live) and at ids the graph lacks: sources not yet
         filed and nodes already credited.  Crediting a node twice would
         double-count and is flagged in debug runs."""
-        if not node_id:
-            return 0
         graph, debug = self.graph, self.config.debug_checks
         count = 0
         stack = [node_id]

@@ -454,8 +454,8 @@ class NodeView(MutableMapping):
 
     def __setitem__(self, nid: int, node: ProofNode) -> None:
         graph = self._graph
-        if not 0 < nid <= _MAX:
-            raise ValueError("node id must be in 1..%d, got %d" % (_MAX, nid))
+        if not (isinstance(nid, int) and 0 < nid <= _MAX):
+            raise ValueError("node id must be in 1..%d, got %r" % (_MAX, nid))
         if nid <= graph._reserved:
             if not (node.is_source and node.clause == graph._sources[nid - 1]):
                 raise ValueError("node id %d is reserved for formula clause %d" % (nid, nid))

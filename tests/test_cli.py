@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, output conventions, file handling."""
 import hashlib
 import io
+import os
 import subprocess
 import sys
 
 import pytest
 
+import proofsat
 from proofsat import parse_dimacs
 from proofsat.cli import main
 
@@ -85,6 +87,10 @@ class TestSolve:
         assert main(["solve", str(cnf), "--proof", str(trace)]) == 10
         assert not trace.exists()
         assert "no refutation trace" in capsys.readouterr().out
+        dot = tmp_path / "out.dot"
+        assert main(["solve", str(cnf), "--dot", str(dot)]) == 10
+        assert not dot.exists()
+        assert "c satisfiable: no refutation graph written" in capsys.readouterr().out
 
     def test_modes_and_flags(self, base_cnf, capsys):
         assert main(["solve", str(base_cnf), "--mode", "dll"]) == 20
@@ -291,10 +297,15 @@ class TestBench:
 
 
 def test_console_script_installed():
+    # The child imports the package the suite imports, which pytest may have
+    # found through its own pythonpath setting rather than PYTHONPATH.
+    package_root = os.path.dirname(os.path.dirname(proofsat.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "proofsat.cli", "gen", "contradiction", "--n", "2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout == "p cnf 2 2\n1 0\n-1 0\n"

@@ -121,7 +121,7 @@ class TestDimacs:
             # Two faults on one line: the first in line order is reported.
             ("p cnf 1 1\n5 x 0\n", "line 2: literal 5 exceeds"),
             ("p cnf 1 1\nx 5 0\n", "line 2: bad token 'x'"),
-            ("p cnf 2 1\n1 0 2 0 x\n", "more clauses than the 1 declared"),
+            ("p cnf 2 1\n1 0 2 0 x\n", "line 2: more clauses than the 1 declared"),
             ("p cnf 2 2\n1 0 0 x\n", "line 2: empty clause"),
             ("p cnf 2 2\n1 0 3 0\n", "line 2: literal 3 exceeds"),
         ],

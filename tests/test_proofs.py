@@ -117,6 +117,8 @@ class TestRefutationGraph:
         g = init_refutation(f)
         with pytest.raises(ValueError):
             g.add_node(2, 3, 3, node_id=3)
+        with pytest.raises(ValueError, match="node id must be positive"):
+            g.add_node(2, 3, 3, node_id=0)
 
     def test_id_reuse_rejected(self):
         f = make_base_formula()
@@ -455,6 +457,7 @@ class TestTraceFormat:
             ("p trace\nq 1 0\n", "unknown record"),
             ("p trace\no 1 1 2\n", "not terminated"),
             ("p trace\no 1 1 x 0\n", "non-integer"),
+            ("p trace\no 0\n", "line 2: source record needs an id"),
             ("p trace\no 1 0\n", "source clause is empty"),
             ("p trace\no 9 1 2 0\n", "no formula clause with id 9"),
             ("p trace\no 1 1 -2 0\n", "differ from formula clause 1"),
@@ -515,6 +518,13 @@ class TestNodeStore:
         assert 9 not in g.nodes and len(g) == 8
         with pytest.raises(KeyError):
             del g.nodes[9]
+
+    def test_missing_ids_name_themselves(self):
+        g = make_shared_node_refutation(make_base_formula())
+        for read in (g.node, g.literals):
+            with pytest.raises(KeyError) as info:
+                read(9)
+            assert info.value.args == ("no node with id 9",)
 
     def test_reserved_ids_take_only_their_source(self):
         f = make_base_formula()
@@ -624,6 +634,8 @@ def test_hostile_ids_are_rejected_or_missing(huge):
             g.add_node(premise, 3, 3)
     with pytest.raises(ValueError, match="node id must be in 1..2147483647"):
         g.nodes[huge] = ProofNode(huge, Clause([-2]), 2, 3, 3)
+    with pytest.raises(ValueError, match="node id must be in 1..2147483647, got '5'"):
+        g.nodes["5"] = ProofNode(5, Clause([-2]), 2, 3, 3)
     for fields in ({"left": huge}, {"right": -huge}, {"pivot": huge}):
         forged = ProofNode(5, Clause([-2]), **{"left": 2, "right": 3, "pivot": 3, **fields})
         with pytest.raises(ValueError, match="node 5 holds a value beyond"):

@@ -8,6 +8,10 @@ unit clauses are picked, or to the bookkeeping behind it, shows up here even on
 formulas too large for the brute-force oracle.  Debug checks are on, so every
 unit pick is also compared with a scan for the lowest-id unit clause.
 
+The four ``ncb_left_adjust`` digests per formula were added later, computed
+on the code from before the conflict-analysis loop stopped re-testing the
+pending clause; the flag changes all of them on the two 50-variable formulas.
+
 The ``tae`` and plain ``dll_strict`` digests were computed while each mode
 still had its own driver loop, before the two were merged into one; they use
 14-variable formulas because plain ``dll_strict`` needs minutes on the
@@ -42,6 +46,9 @@ def _bcp_configs():
     configs = {}
     for ncb, cdb, ccr in itertools.product((False, True), repeat=3):
         kw = dict(bcp=True, ncb=ncb, cdb_1uip=cdb, ccr=ccr)
+        configs[_config_label(SolverConfig(**kw))] = kw
+    for cdb, ccr in itertools.product((False, True), repeat=2):
+        kw = dict(bcp=True, ncb=True, ncb_left_adjust=True, cdb_1uip=cdb, ccr=ccr)
         configs[_config_label(SolverConfig(**kw))] = kw
     configs["dll_strict+bcp"] = dict(mode=MODE_DLL, bcp=True)
     return configs
@@ -87,6 +94,10 @@ PINNED = {
         "sss+bcp+ncb+ccr": "6b74fe712d192e6d28fb3447435fb536043c237c2bf52e915ff9e115bb83ec2d",
         "sss+bcp+ncb+cdb": "a666c22669b4ae6b3c0aaacdf17cbaa7d4684bb9e6c8d6c9443dbb5946ca9a61",
         "sss+bcp+ncb+cdb+ccr": "6b74fe712d192e6d28fb3447435fb536043c237c2bf52e915ff9e115bb83ec2d",
+        "sss+bcp+ncb+ncbla": "a666c22669b4ae6b3c0aaacdf17cbaa7d4684bb9e6c8d6c9443dbb5946ca9a61",
+        "sss+bcp+ncb+ncbla+ccr": "6b74fe712d192e6d28fb3447435fb536043c237c2bf52e915ff9e115bb83ec2d",
+        "sss+bcp+ncb+ncbla+cdb": "a666c22669b4ae6b3c0aaacdf17cbaa7d4684bb9e6c8d6c9443dbb5946ca9a61",
+        "sss+bcp+ncb+ncbla+cdb+ccr": "6b74fe712d192e6d28fb3447435fb536043c237c2bf52e915ff9e115bb83ec2d",
         "dll_strict+bcp": "787d35b4cbc1dcb47d9b02b4baf63208e1e8a0fedb0a98ab816e8d9b1713e7c2",
     },
     "rand50_seed1": {
@@ -98,6 +109,10 @@ PINNED = {
         "sss+bcp+ncb+ccr": "35174343075fa0d6ca5286373688a5361c662154ebc0af7588f862ec7ceb8400",
         "sss+bcp+ncb+cdb": "3662a1c1a14dc594a61031123846d6ffa39e99dac13fba745f53734af6b29322",
         "sss+bcp+ncb+cdb+ccr": "78d8793d3c40403e03571d0ff7d745b66ff58bee1e74875b4b13331820f7dfba",
+        "sss+bcp+ncb+ncbla": "a6da52abf0ece1aeefde01246da3215c28a041838ada41eaa8be5f82b8a8d777",
+        "sss+bcp+ncb+ncbla+ccr": "77a43d1562f9a58b8f0bdaef4fe743fde9faba99a87d6f258b09514a28eadcfe",
+        "sss+bcp+ncb+ncbla+cdb": "c899a6f575694bc01b6b6fb9c52673b68ae646720d369303e28bcce5afe92a31",
+        "sss+bcp+ncb+ncbla+cdb+ccr": "2a893ad9e50616b32e59f2986cc395c73769d8d56129209730edebb66388aa83",
         "dll_strict+bcp": "6e6e0e9c97593b8aaa13b900bcc3622795c7168bb069c82c23271b181e6b9c9d",
     },
     "rand50_seed5": {
@@ -109,6 +124,10 @@ PINNED = {
         "sss+bcp+ncb+ccr": "708767026a11bec8ea6afeed541d552711b7f4b107ae8630f06ec1bc05bf3fe9",
         "sss+bcp+ncb+cdb": "8dbcca07fb5b8d3245f3962f8428f70da2d6c7b2d21c53e7c52d4d77fd189115",
         "sss+bcp+ncb+cdb+ccr": "ca329413e3a37cd797047066cb6f7bdbe06f27a94924cf8af439619f19c3f030",
+        "sss+bcp+ncb+ncbla": "9ef6b8d31b69209aaccb7f2a8ab157e746e4b2881b447e07993121a4f424ec7c",
+        "sss+bcp+ncb+ncbla+ccr": "1af0d70aa3f37d86fbe048769e0da105bb520e4e9155338adc83cc9c74a765f6",
+        "sss+bcp+ncb+ncbla+cdb": "e927d4b5059c5dd44e941ca7872842d2dc421273250a1dde1106b259631c96b2",
+        "sss+bcp+ncb+ncbla+cdb+ccr": "bdd10ca19b1ee70e68496373f17e4c823457b13b6d55b8440b7461d4c9281ba8",
         "dll_strict+bcp": "fe2b9d88d4d05160c5958f5713c36dc4cca3fc48f18d1d9b48f4ca1288359ac1",
     },
     "rand14_seed1": {
