@@ -11,9 +11,10 @@ import csv
 import sys
 import time
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import List, Optional, Sequence, TextIO, Tuple
 
-from .cnf import Formula, parse_dimacs, write_dimacs
+from .cnf import Formula, _blocks, _dimacs_blocks, parse_dimacs
 from .engine import (
     MODE_DLL,
     MODE_SSS,
@@ -24,7 +25,7 @@ from .engine import (
 )
 from .families import gen_bcp_separation, gen_contradiction, gen_random_kcnf
 from .oracle import brute_force_sat
-from .proofs import check_refutation, export_dot, export_trace, parse_trace
+from .proofs import _dot_blocks, _trace_blocks, check_refutation, parse_trace
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -141,29 +142,22 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     if outcome.verdict == VERDICT_SAT:
         print("s SATISFIABLE")
-        lits = [v if outcome.model[v] else -v for v in sorted(outcome.model)]
-        if lits:
-            print("v %s 0" % " ".join(str(l) for l in lits))
-        else:
-            print("v 0")
+        # The model's keys ascend: the solver fills it variable by variable.
+        lits = (" %d" % (v if value else -v) for v, value in outcome.model.items())
+        sys.stdout.writelines(_blocks(chain(("v",), lits, (" 0\n",))))
         if args.proof:
             print("c satisfiable: no refutation trace written")
         if args.dot:
             print("c satisfiable: no refutation graph written")
     else:
         print("s UNSATISFIABLE")
-        if args.proof:
-            try:
-                with open(args.proof, "w", encoding="ascii") as handle:
-                    handle.write(export_trace(outcome.proof))
-            except OSError as exc:
-                return _fail(str(exc))
-        if args.dot:
-            try:
-                with open(args.dot, "w", encoding="ascii") as handle:
-                    handle.write(export_dot(outcome.proof))
-            except OSError as exc:
-                return _fail(str(exc))
+        for path, blocks in ((args.proof, _trace_blocks), (args.dot, _dot_blocks)):
+            if path:
+                try:
+                    with open(path, "w", encoding="ascii") as handle:
+                        handle.writelines(blocks(outcome.proof))
+                except OSError as exc:
+                    return _fail(str(exc))
     if args.stats:
         for name, value in outcome.stats.as_dict().items():
             print("c %s %d" % (name, value))
@@ -210,15 +204,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
             formula = gen_random_kcnf(args.n, args.m, args.k, args.seed)
     except (TypeError, ValueError) as exc:
         return _fail(str(exc))
-    text = write_dimacs(formula)
+    blocks = _dimacs_blocks(formula)
     if args.output and args.output != "-":
         try:
             with open(args.output, "w", encoding="ascii") as handle:
-                handle.write(text)
+                handle.writelines(blocks)
         except OSError as exc:
             return _fail(str(exc))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     return 0
 
 

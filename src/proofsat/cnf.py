@@ -7,12 +7,15 @@ by 1-based clause ids.
 """
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from operator import neg
 from typing import AbstractSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Variable = int
 Literal = int
+
+_BLOCK = 256  # pieces of output text joined into one block
+
 
 def _ordered(lits: Iterable[Literal]) -> Tuple[Literal, ...]:
     """Literals sorted by variable index, the positive literal first: the
@@ -147,6 +150,18 @@ def _lines(text: str, chunk: int = 4096) -> Iterator[str]:
     return chain.from_iterable(map(str.splitlines, pieces()))
 
 
+def _blocks(pieces: Iterable[str]) -> Iterator[str]:
+    """The concatenation of ``pieces``, none of them empty, yielded
+    ``_BLOCK`` pieces at a time: a writer holds one block of its text, not
+    one string per line."""
+    pieces = iter(pieces)
+    while True:
+        block = "".join(islice(pieces, _BLOCK))
+        if not block:
+            return
+        yield block
+
+
 def parse_dimacs(text: str) -> Formula:
     """Parse DIMACS CNF text into a Formula.
 
@@ -231,8 +246,11 @@ def parse_dimacs(text: str) -> Formula:
     return formula
 
 
+def _dimacs_blocks(formula: Formula) -> Iterator[str]:
+    header = "p cnf %d %d\n" % (formula.num_vars, len(formula))
+    lines = ("%s 0\n" % " ".join(map(str, clause._lits)) for clause in formula.clauses)
+    return _blocks(chain((header,), lines))
+
+
 def write_dimacs(formula: Formula) -> str:
-    lines = ["p cnf %d %d\n" % (formula.num_vars, len(formula))]
-    for clause in formula.clauses:
-        lines.append(" ".join(map(str, clause)) + " 0\n")
-    return "".join(lines)
+    return "".join(_dimacs_blocks(formula))

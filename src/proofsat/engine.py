@@ -656,7 +656,7 @@ class Solver:
         pre-set to the backtracking clause's node).  Returns (g, var) when
         a substitution happened."""
         d = self.d
-        if d == 0 or not self.trail_flipped[d]:
+        if not self.trail_flipped[d]:  # level 0 is never flipped
             return None
         var = self.trail_var[d]
         lit = -var if self.val[var] else var
@@ -670,8 +670,7 @@ class Solver:
         for q in np_lits:
             if q == lit:
                 continue
-            q_level = self.level_of[abs(q)]
-            if q_level == 0 or q_level >= g:
+            if self.level_of[abs(q)] >= g:
                 return None
         self.stats.pruned_uip += self._reseat(g, d + 1)
         self.trail_parent[g] = np_node

@@ -26,7 +26,7 @@ from itertools import accumulate, chain, compress, count
 from operator import add
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .cnf import Clause, Formula, Literal, Variable, _lines, _tautological
+from .cnf import Clause, Formula, Literal, Variable, _blocks, _lines, _tautological
 
 _MAX = 2**31 - 1  # the largest id, literal or pivot a column holds
 _NONE = -_MAX - 1  # a source's premises and pivot, and any None, in a column
@@ -591,16 +591,22 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
     )
 
 
+def _trace_blocks(graph: RefutationGraph) -> Iterator[str]:
+    def lines() -> Iterator[str]:
+        yield "p trace\n"
+        for _, nid, left, right, pivot, lits in graph._records():
+            text = " ".join(map(str, lits))
+            if left == _NONE:
+                head = "o %d" % nid
+            else:
+                head = "r %d %d %d %d" % (nid, pivot, left, right)
+            yield ("%s %s 0\n" % (head, text)) if text else ("%s 0\n" % head)
+
+    return _blocks(lines())
+
+
 def export_trace(graph: RefutationGraph) -> str:
-    lines = ["p trace\n"]
-    for _, nid, left, right, pivot, lits in graph._records():
-        text = " ".join(map(str, lits))
-        if left == _NONE:
-            head = "o %d" % nid
-        else:
-            head = "r %d %d %d %d" % (nid, pivot, left, right)
-        lines.append(("%s %s 0\n" % (head, text)) if text else ("%s 0\n" % head))
-    return "".join(lines)
+    return "".join(_trace_blocks(graph))
 
 
 def parse_trace(text: str, formula: Formula) -> RefutationGraph:
@@ -662,20 +668,26 @@ def parse_trace(text: str, formula: Formula) -> RefutationGraph:
     return graph
 
 
+def _dot_blocks(graph: RefutationGraph) -> Iterator[str]:
+    def lines() -> Iterator[str]:
+        yield "digraph refutation {\n  rankdir=BT;\n"
+        for _, nid, left, _, _, lits in graph._records():
+            label = " ".join(map(str, lits)) or "empty"
+            shape = "box" if left == _NONE else "ellipse"
+            yield '  n%d [label="%s", shape=%s];\n' % (nid, label, shape)
+        for _, nid, left, right, pivot, _ in graph._records():
+            if left == _NONE:
+                continue
+            for premise in (left, right):
+                edge_lit = -pivot if pivot in graph.literals(premise) else pivot
+                yield '  n%d -> n%d [label="%d"];\n' % (premise, nid, edge_lit)
+        yield "}\n"
+
+    return _blocks(lines())
+
+
 def export_dot(graph: RefutationGraph) -> str:
     """Graphviz rendering: premise-to-resolvent edges, each labelled with
     the pivot literal as it occurs in the *other* premise (the polarity the
     edge's source clause lacks)."""
-    lines = ["digraph refutation {\n", "  rankdir=BT;\n"]
-    for _, nid, left, _, _, lits in graph._records():
-        label = " ".join(map(str, lits)) or "empty"
-        shape = "box" if left == _NONE else "ellipse"
-        lines.append('  n%d [label="%s", shape=%s];\n' % (nid, label, shape))
-    for _, nid, left, right, pivot, _ in graph._records():
-        if left == _NONE:
-            continue
-        for premise in (left, right):
-            edge_lit = -pivot if pivot in graph.literals(premise) else pivot
-            lines.append('  n%d -> n%d [label="%d"];\n' % (premise, nid, edge_lit))
-    lines.append("}\n")
-    return "".join(lines)
+    return "".join(_dot_blocks(graph))

@@ -8,11 +8,19 @@ import sys
 import pytest
 
 import proofsat
-from proofsat import parse_dimacs
+from proofsat import (
+    SolverConfig,
+    export_dot,
+    export_trace,
+    gen_random_kcnf,
+    parse_dimacs,
+    solve,
+    write_dimacs,
+)
 from proofsat.cli import main
 
 from conftest import make_base_formula
-from test_proofs import SHARED_TRACE
+from test_proofs import LONG_FORMULA, SHARED_TRACE
 
 BASE_DIMACS = "p cnf 4 4\n1 2 0\n-2 3 0\n-2 -3 0\n-1 2 0\n"
 
@@ -49,6 +57,21 @@ class TestSolve:
         assert main(["solve", str(cnf)]) == 10
         assert "v 0" in capsys.readouterr().out
 
+    def test_bare_value_line_is_the_whole_output(self, tmp_path, capsys):
+        cnf = tmp_path / "empty.cnf"
+        cnf.write_text("p cnf 0 0\n")
+        assert main(["solve", str(cnf)]) == 10
+        assert capsys.readouterr().out == "s SATISFIABLE\nv 0\n"
+
+    def test_long_value_line_equals_the_model(self, tmp_path, capsys):
+        # 600 literals, written a block at a time.
+        cnf = tmp_path / "wide.cnf"
+        cnf.write_text("p cnf 600 2\n1 0\n-600 0\n")
+        assert main(["solve", str(cnf)]) == 10
+        model = solve(parse_dimacs(cnf.read_text())).model
+        lits = [str(v if model[v] else -v) for v in sorted(model)]
+        assert capsys.readouterr().out == "s SATISFIABLE\nv %s 0\n" % " ".join(lits)
+
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", __import__("io").StringIO("p cnf 1 1\n1 0\n"))
         assert main(["solve", "-"]) == 10
@@ -79,6 +102,19 @@ class TestSolve:
         text = dot.read_text()
         assert text.startswith("digraph refutation {")
         assert 'label="empty"' in text
+
+    def test_written_files_equal_the_library_strings(self, tmp_path, capsys):
+        # A refutation of several hundred records: trace and DOT files span
+        # more than one block.
+        cnf = tmp_path / "long.cnf"
+        cnf.write_text(write_dimacs(LONG_FORMULA))
+        trace, dot = tmp_path / "out.trace", tmp_path / "out.dot"
+        args = ["solve", str(cnf), "--bcp", "--proof", str(trace), "--dot", str(dot)]
+        assert main(args) == 20
+        assert capsys.readouterr().out == "s UNSATISFIABLE\n"
+        proof = solve(LONG_FORMULA, SolverConfig(bcp=True)).proof
+        assert trace.read_bytes() == export_trace(proof).encode()
+        assert dot.read_bytes() == export_dot(proof).encode()
 
     def test_sat_run_writes_no_proof(self, tmp_path, capsys):
         cnf = tmp_path / "unit.cnf"
@@ -224,6 +260,16 @@ class TestGen:
         assert main(args + ["-o", str(path)]) == 0
         f = parse_dimacs(path.read_text())
         assert f.num_vars == 5 and len(f) == 10
+
+    def test_file_and_stdout_equal_write_dimacs(self, tmp_path, capsys):
+        # 600 clauses, written a block at a time.
+        text = write_dimacs(gen_random_kcnf(200, 600, 3, 1))
+        args = ["gen", "random", "--n", "200", "--m", "600", "--seed", "1"]
+        path = tmp_path / "wide.cnf"
+        assert main(args + ["-o", str(path)]) == 0
+        assert path.read_bytes() == text.encode()
+        assert main(args) == 0
+        assert capsys.readouterr().out == text
 
     def test_gen_output_round_trips_through_solve(self, tmp_path, capsys):
         path = tmp_path / "k1.cnf"

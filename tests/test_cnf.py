@@ -1,8 +1,8 @@
 """Clause/Formula containers and DIMACS round trips."""
 import pytest
 
-from proofsat import Clause, Formula, parse_dimacs, write_dimacs
-from proofsat.cnf import _tautological
+from proofsat import Clause, Formula, gen_random_kcnf, parse_dimacs, write_dimacs
+from proofsat.cnf import _BLOCK, _tautological
 
 
 class TestClause:
@@ -78,10 +78,27 @@ class TestFormula:
         assert f == Formula(2, [(1,)])
 
 
+def reference_dimacs(formula):
+    lines = ["p cnf %d %d\n" % (formula.num_vars, len(formula))]
+    for clause in formula.clauses:
+        lines.append(" ".join(map(str, clause)) + " 0\n")
+    return "".join(lines)
+
+
 class TestDimacs:
     def test_round_trip(self):
         f = Formula(4, [(1, -3), (2,), (-1, -2, 4)])
         assert parse_dimacs(write_dimacs(f)) == f
+
+    @pytest.mark.parametrize(
+        "count", [0, 1, _BLOCK - 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+    )
+    def test_blocks_equal_per_line_reference(self, count):
+        # The header and the clauses are written _BLOCK lines at a time.
+        wide = gen_random_kcnf(200, 600, 3, 1)
+        f = Formula(wide.num_vars, wide.clauses[:count])
+        assert len(f) == count
+        assert write_dimacs(f) == reference_dimacs(f)
 
     def test_comments_and_blank_lines_ignored(self):
         f = parse_dimacs("c hello\n\np cnf 2 1\nc mid\n1 -2 0\n")

@@ -18,7 +18,7 @@ from proofsat import (
     parse_trace,
     solve,
 )
-from proofsat.cnf import _lines
+from proofsat.cnf import _BLOCK, _lines
 from proofsat.proofs import ProofNode, _oriented_set, _resolvent_set, _source
 
 from conftest import (
@@ -714,3 +714,62 @@ def test_parse_error_names_the_splitlines_line(data):
     line_no = text.splitlines().index("q 0") + 1
     with pytest.raises(ValueError, match=r"^line %d: unknown record 'q'$" % line_no):
         parse_trace(text, LONG_FORMULA)
+
+
+# ---------------------------------------------------------------------------
+# The trace and DOT writers build their text in blocks of _BLOCK lines.  The
+# per-line writers below pin every byte on both sides of a block boundary.
+
+BLOCK_COUNTS = [0, 1, _BLOCK - 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+
+
+def reference_trace(graph):
+    lines = ["p trace\n"]
+    for nid in graph.nodes:
+        node = graph.nodes[nid]
+        if node.is_source:
+            head = "o %d" % nid
+        else:
+            head = "r %d %d %d %d" % (nid, node.pivot, node.left, node.right)
+        lines.append(" ".join([head, *map(str, node.clause), "0\n"]))
+    return "".join(lines)
+
+
+def reference_dot(graph):
+    lines = ["digraph refutation {\n", "  rankdir=BT;\n"]
+    for nid in graph.nodes:
+        node = graph.nodes[nid]
+        label = " ".join(map(str, node.clause)) or "empty"
+        shape = "box" if node.is_source else "ellipse"
+        lines.append('  n%d [label="%s", shape=%s];\n' % (nid, label, shape))
+    for nid in graph.nodes:
+        node = graph.nodes[nid]
+        if node.is_source:
+            continue
+        for premise in (node.left, node.right):
+            polarity = -1 if node.pivot in graph.nodes[premise].clause else 1
+            lines.append('  n%d -> n%d [label="%d"];\n' % (premise, nid, polarity * node.pivot))
+    lines.append("}\n")
+    return "".join(lines)
+
+
+@pytest.fixture(scope="module")
+def wide_refutation():
+    """gen_random_kcnf(39, 195, 3, 1) and the records of its 1,435-resolvent
+    sss+bcp refutation, sources first: more than 2 * _BLOCK + 1 of them."""
+    formula = gen_random_kcnf(39, 195, 3, 1)
+    records = export_trace(solve(formula, SolverConfig(bcp=True)).proof).splitlines()[1:]
+    assert len(records) > 2 * _BLOCK + 1
+    return formula, records
+
+
+@pytest.mark.parametrize("count", BLOCK_COUNTS + [None], ids=str)
+def test_writers_equal_per_line_references(wide_refutation, count):
+    # A prefix of the records (all of them for None, the empty clause
+    # included) parses to a graph of exactly that many nodes.
+    formula, records = wide_refutation
+    kept = records[:count]
+    graph = parse_trace("p trace\n" + "".join(r + "\n" for r in kept), formula)
+    assert len(graph) == len(kept)
+    assert export_trace(graph) == reference_trace(graph)
+    assert export_dot(graph) == reference_dot(graph)
