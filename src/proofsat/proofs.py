@@ -4,7 +4,8 @@ A RefutationGraph is a DAG.  Source nodes mirror the clauses of a formula
 (node id = 1-based clause id; a graph from ``init_refutation`` files each on
 its first use); every other node is a resolvent with two premise links and a
 pivot variable.  Node ids only grow, so a premise always has a smaller id
-than the node using it.
+than the node using it, and a graph rejects a new id below one it has
+filed.
 
 Trace format (line oriented):
 
@@ -20,6 +21,7 @@ literal or pivot within +-(2**31 - 1).
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count
@@ -31,9 +33,6 @@ from .cnf import Clause, Formula, Literal, Variable, _blocks, _lines, _tautologi
 _MAX = 2**31 - 1  # the largest id, literal or pivot a column holds
 _NONE = -_MAX - 1  # a source's premises and pivot, and any None, in a column
 _COMPACT_MIN = 64  # dead rows below this many are never compacted
-_PAGE_BITS = 6  # an id's bits above these pick its page of row slots
-_PAGE_MASK = (1 << _PAGE_BITS) - 1
-_EMPTY_PAGE = array("i", [-1]) * (1 << _PAGE_BITS)
 
 
 class ProofNode(NamedTuple):
@@ -135,14 +134,12 @@ class RefutationGraph:
     Each filed node is a row, except a source reserved by
     ``init_refutation``: its id, premises, pivot, and the start and length
     of its literals in one flat arena, each an ``array('i')``, and a byte
-    saying whether the row is still filed.  Rows are appended as nodes
-    arrive.  A filed id finds its row through a page table: the id's high
-    bits pick a page of 64 row slots, made on first use, and its low bits
-    the slot, so memory follows the ids filed, not the largest one, and no
-    row moves when a node arrives below a higher id.  Unfiling a row
-    leaves it dead; once dead rows outnumber live ones, or a read in id
-    order finds rows out of it, the columns are rebuilt from the live rows
-    in id order, so the store follows the nodes filed, not every node ever
+    saying whether the row is still filed.  Ids only grow, so rows are
+    appended in id order and a filed id finds its row by bisection.  A
+    new id must exceed every id ever given a row; filing a node that is
+    still filed rewrites its row in place.  Unfiling a row leaves it dead;
+    once dead rows outnumber live ones, the columns are rebuilt from the
+    live rows, so the store follows the nodes filed, not every node ever
     added.  Ids 1..``_reserved`` belong to the clauses of the formula given
     to ``init_refutation``: such a source is filed by a flag and reads its
     literals from the clause it mirrors.  ``nodes`` is a mapping view of
@@ -159,11 +156,7 @@ class RefutationGraph:
         self._lits = array("i")
         self._live = bytearray()
         self._dead = 0
-        # id >> _PAGE_BITS -> a page of the rows, or -1, of those ids; None
-        # until the first lookup after the rows were rebuilt.
-        self._pages: Optional[Dict[int, array]] = {}
-        self._ordered = True  # whether the rows are in id order
-        self._next_id = 1
+        self._next_id = 1  # above every id ever given a row, and every reserved id
         self._sources: Sequence[Clause] = ()
         self._reserved = 0  # ids 1.._reserved: _sources' clauses, filed on first use
         self._src_filed = bytearray(1)  # byte k is 1 while source k is filed
@@ -174,38 +167,20 @@ class RefutationGraph:
     # -- rows -------------------------------------------------------------
 
     def _row(self, nid: int) -> int:
-        """The row of filed node ``nid``, or -1; a reserved source has none."""
-        pages = self._pages
-        if pages is None:
-            pages = self._paged()
-        page = pages.get(nid >> _PAGE_BITS)
-        return -1 if page is None else page[nid & _PAGE_MASK]
-
-    def _set_row(self, nid: int, r: int) -> None:
-        pages = self._pages
-        if pages is None:
-            pages = self._paged()
-        page = pages.get(nid >> _PAGE_BITS)
-        if page is None:
-            page = pages[nid >> _PAGE_BITS] = array("i", _EMPTY_PAGE)
-        page[nid & _PAGE_MASK] = r
-
-    def _paged(self) -> Dict[int, array]:
-        """Build the page table of the live rows."""
-        self._pages = {}
-        for r, nid in compress(enumerate(self._ids), self._live):
-            self._set_row(nid, r)
-        return self._pages
-
-    def _in_order(self) -> None:
-        """Rebuild the rows in id order if a node was filed below a higher id."""
-        if not self._ordered:
-            self._repack()
+        """The row of filed node ``nid``, or -1; a reserved source has none.
+        The last row is tried first: the solver reads back the resolvent it
+        has just filed."""
+        ids = self._ids
+        r = len(ids) - 1
+        if r < 0 or ids[r] != nid:
+            r = bisect_left(ids, nid)
+            if r == len(ids) or ids[r] != nid:
+                return -1
+        return r if self._live[r] else -1
 
     def _records(self) -> Iterator[Tuple[int, int, int, int, int, Sequence[Literal]]]:
         """(row, id, left, right, pivot, literals) of every filed node, by
         id, with None stored as ``_NONE`` and row -1 for a reserved source."""
-        self._in_order()
         sources = self._sources
         reserved = (
             (-1, nid, _NONE, _NONE, _NONE, sources[nid - 1]._lits)
@@ -230,23 +205,28 @@ class RefutationGraph:
         return r, self._lits[start : start + self._len[r]]
 
     def _file(self, nid: int, left: int, right: int, pivot: int, lits: Tuple[Literal, ...]) -> None:
-        """Append node ``nid`` as a row; a filed row with its id is unfiled.
-        ``lits`` are sorted by variable, as ``Clause`` sorts them, and
-        ``nid``, ``left`` and ``right`` lie in the columns' range.  Raises
-        ValueError, storing nothing, when a literal or the pivot does not."""
+        """File node ``nid``: append a row for an id above every id ever
+        given one, or rewrite the row of a filed node in place.  ``lits``
+        are sorted by variable, as ``Clause`` sorts them, and ``nid``,
+        ``left`` and ``right`` lie in the columns' range.  Raises
+        ValueError, storing nothing, when a literal or the pivot does not,
+        or when ``nid`` is below such an id and not filed."""
         if (lits and abs(lits[-1]) > _MAX) or pivot > _MAX:
             raise ValueError("node %d holds a value beyond +-%d" % (nid, _MAX))
-        ids = self._ids
-        if ids and (nid <= ids[-1] or not self._ordered):
-            r = self._row(nid)
-            if r >= 0:
-                self._unfile_row(r)
-                ids = self._ids  # compaction may have rebuilt the columns
-            if ids and nid < ids[-1]:
-                self._ordered = False
         arena = self._lits
-        self._set_row(nid, len(ids))
-        ids.append(nid)
+        if nid < self._next_id:
+            r = self._row(nid)
+            if r < 0:
+                raise ValueError(
+                    "node id %d must exceed %d, the highest id filed before it"
+                    % (nid, self._next_id - 1)
+                )
+            self._left[r], self._right[r], self._pivot[r] = left, right, pivot
+            self._start[r], self._len[r] = len(arena), len(lits)
+            arena.extend(lits)
+            return
+        self._next_id = nid + 1
+        self._ids.append(nid)
         self._left.append(left)
         self._right.append(right)
         self._pivot.append(pivot)
@@ -256,29 +236,17 @@ class RefutationGraph:
         arena.extend(lits)
 
     def _unfile_row(self, r: int) -> None:
-        self._set_row(self._ids[r], -1)
         self._live[r] = 0
         self._dead += 1
         if self._dead >= _COMPACT_MIN and 2 * self._dead > len(self._live):
-            self._repack()
-
-    def _repack(self) -> None:
-        """Rebuild the store from its live rows, in id order, as a clause
-        allocator reclaims deleted clauses."""
-        if not self._ordered:
-            order = sorted(range(len(self._ids)), key=self._ids.__getitem__)
-            self._ids, self._left, self._right, self._pivot, self._start, self._len = (
-                array("i", map(column.__getitem__, order)) for column in self._columns()
-            )
-            self._live = bytearray(map(self._live.__getitem__, order))
-        self._keep_rows(self, self._live, pack=True)
+            self._keep_rows(self, self._live, pack=True)
 
     def _keep_rows(self, graph: "RefutationGraph", mask: bytearray, pack: bool) -> None:
-        """Replace this graph's rows with the rows of ``graph``, which are in
-        id order, that ``mask`` selects.  With ``pack``, as when a graph
-        compacts itself, their literals move to a new arena.  Without, the
-        two graphs share ``graph``'s arena, which is safe because a graph
-        only ever appends to its arena."""
+        """Replace this graph's rows with the rows of ``graph`` that ``mask``
+        selects.  With ``pack``, as when a graph compacts itself the way a
+        clause allocator reclaims deleted clauses, their literals move to a
+        new arena.  Without, the two graphs share ``graph``'s arena, which
+        is safe because a graph only ever appends to its arena."""
         ids, left, right, pivot, starts, lens = (
             array("i", compress(column, mask)) for column in graph._columns()
         )
@@ -293,7 +261,6 @@ class RefutationGraph:
         self._start, self._len, self._lits = starts, lens, arena
         self._live = bytearray(b"\x01") * len(ids)
         self._dead = 0
-        self._pages, self._ordered = None, True
 
     # -- construction -----------------------------------------------------
 
@@ -302,7 +269,7 @@ class RefutationGraph:
             wanted = self._next_id
         elif wanted < 1:
             raise ValueError("node id must be positive")
-        if wanted <= self._reserved or self._row(wanted) >= 0:
+        elif wanted <= self._reserved or (wanted < self._next_id and self._row(wanted) >= 0):
             raise ValueError("node id %d already used" % wanted)
         if wanted > _MAX:
             raise ValueError("node id %d exceeds %d" % (wanted, _MAX))
@@ -310,11 +277,10 @@ class RefutationGraph:
 
     def add_source(self, clause: Clause, node_id: Optional[int] = None) -> int:
         """Append a source node; its id is the id of the formula clause it
-        mirrors."""
+        mirrors.  Raises ValueError if the id is taken, out of range, or
+        below an id already filed."""
         nid = self._claim_id(node_id)
         self._file(nid, _NONE, _NONE, _NONE, clause._lits)
-        if nid >= self._next_id:
-            self._next_id = nid + 1
         return nid
 
     def add_node(
@@ -328,8 +294,8 @@ class RefutationGraph:
 
         The premises may be passed in either polarity order; the clause with
         the positive pivot occurrence is used as the positive side.  Raises
-        ValueError if the id is taken or out of range, or the step breaks a
-        rule of ``_derive``.
+        ValueError if the id is taken or out of range, the step breaks a
+        rule of ``_derive``, or the id is below an id already filed.
         """
         nid = self._claim_id(node_id)
         reserved, sources, locate = self._reserved, self._sources, self._locate
@@ -340,8 +306,6 @@ class RefutationGraph:
             left = right = None
         lits = _derive(nid, left_id, right_id, pivot_var, left, right)
         self._file(nid, left_id, right_id, pivot_var, tuple(sorted(lits, key=abs)))
-        if nid >= self._next_id:
-            self._next_id = nid + 1
         if left_id <= reserved:  # the step holds: file its new sources
             self._src_filed[left_id] = 1
         if right_id <= reserved:
@@ -404,7 +368,6 @@ class RefutationGraph:
         reference premises that were never added; the checker reports
         those, so the walk just skips them."""
         self.node(node_id)
-        self._in_order()
         sub = RefutationGraph()
         sub._sources, sub._reserved = self._sources, self._reserved
         sub._src_filed = bytearray(len(self._src_filed))
@@ -431,9 +394,10 @@ class NodeView(MutableMapping):
 
     Reading builds a ``ProofNode`` from the columns, so two reads give equal
     nodes but not the same object.  Assigning stores the node's fields
-    (ints or None within the columns' range); an id that ``init_refutation``
-    reserved takes only the source it mirrors.  Deleting unfiles a node;
-    ``in`` means filed."""
+    (ints or None within the columns' range): over a filed node it rewrites
+    that node, and otherwise its id must exceed every id the graph has
+    filed.  An id that ``init_refutation`` reserved takes only the source
+    it mirrors.  Deleting unfiles a node; ``in`` means filed."""
 
     __slots__ = ("_graph",)
 
@@ -481,7 +445,6 @@ class NodeView(MutableMapping):
 
     def __iter__(self) -> Iterator[int]:
         graph = self._graph
-        graph._in_order()
         return chain(
             compress(range(graph._reserved + 1), graph._src_filed),
             compress(graph._ids, graph._live),
@@ -516,7 +479,6 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
     size = 0
     empty_id: Optional[int] = None
     last: Optional[int] = None
-    graph._in_order()
     locate, lefts = graph._locate, graph._left
     # The rows of the premises of each resolvent row, or -1; a reserved
     # source premise reads -1.
@@ -614,10 +576,10 @@ def parse_trace(text: str, formula: Formula) -> RefutationGraph:
 
     Errors, each prefixed with ``line N: ``: a missing header, an unknown
     or unterminated record, a non-integer token, a record too short for its
-    kind, a zero literal, an 'o' record that breaks a rule of ``_source``
-    or reuses an id, an 'r' record that ``add_node`` rejects, a value the
-    graph's columns cannot hold, and an 'r' record whose literals differ
-    from the recomputed resolvent.
+    kind, a zero literal, an 'o' record that breaks a rule of ``_source``,
+    reuses an id or comes below an id already filed, an 'r' record that
+    ``add_node`` rejects, a value the graph's columns cannot hold, and an
+    'r' record whose literals differ from the recomputed resolvent.
     """
     graph = RefutationGraph()
     header_seen = False

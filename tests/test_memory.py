@@ -152,10 +152,9 @@ def large_refutation():
 
 
 def test_checker_scratch_on_a_large_refutation(large_refutation):
-    # About 28 KB: premise rows and a use count per row, the pivot masks
-    # not yet used, and the page table the proof builds on its first
-    # lookup; one map from node id to use count, then pivot mask, took
-    # about 130 KB.
+    # About 19 KB: premise rows and a use count per row, and the pivot
+    # masks not yet used; one map from node id to use count, then pivot
+    # mask, took about 130 KB.
     formula, proof = large_refutation
     report = []
     peak = traced_peak(lambda: report.append(check_refutation(proof, formula)))
@@ -164,7 +163,7 @@ def test_checker_scratch_on_a_large_refutation(large_refutation):
 
 
 def test_trace_parser_peak_above_its_graph(large_refutation):
-    # About 14 KB above the 89 KB graph: one piece of the text and its
+    # About 14 KB above the 79 KB graph: one piece of the text and its
     # lines at a time.
     formula, proof = large_refutation
     text = export_trace(proof)
@@ -217,8 +216,8 @@ def test_finished_solver_keeps_only_its_outcome():
 
 
 def test_solver_graph_bytes_per_resolvent():
-    # About 81 bytes per resolvent left in the graph of a SAT run, dead
-    # rows and the page table of row slots included.
+    # About 72 bytes per resolvent left in the graph of a SAT run, dead
+    # rows included.
     formula = gen_random_kcnf(50, 213, 3, 1)
     gc.collect()
     tracemalloc.start()
@@ -240,8 +239,7 @@ def test_solver_graph_bytes_per_resolvent():
 
 
 def test_parsed_graph_bytes_per_node():
-    # About 59 bytes per node, page table included: 1,941 nodes of mean
-    # width 5.6.
+    # About 51 bytes per node: 1,941 nodes of mean width 5.6.
     formula = gen_random_kcnf(40, 170, 3, 1)
     text = export_trace(Solver(formula, SolverConfig(bcp=True)).solve().proof)
     graph = []
@@ -259,16 +257,15 @@ def test_parsed_graph_bytes_per_node():
 
 
 def store_bytes(graph):
-    """Bytes of a graph's columns, arena, flags and page table."""
-    pages = graph._pages or {}
+    """Bytes of a graph's columns, arena and flags."""
     parts = [v for v in vars(graph).values() if isinstance(v, (array, bytearray))]
-    return sum(map(sys.getsizeof, [*parts, pages, *pages.values()]))
+    return sum(map(sys.getsizeof, parts))
 
 
 def test_store_follows_the_nodes_kept():
     # Plain sss adds 46,762 resolvents and keeps 11,304 (plus 136 sources);
-    # compaction holds the store to about 91 bytes per node kept, where
-    # keeping every row would take about 250.
+    # compaction holds the store to about 74 bytes per node kept, where
+    # keeping every row would take about 197.
     formula = gen_random_kcnf(40, 170, 3, 1)
     outcome = Solver(formula, SolverConfig()).solve()
     graph = outcome.graph
@@ -281,9 +278,9 @@ def test_store_follows_the_nodes_kept():
 def test_sparse_trace_ids_cost_memory_by_record():
     # The 337-resolvent refutation of gen_random_kcnf(30, 150, 3, 1) with
     # resolvent id k renamed to k * 10**6: parsing it peaks at about
-    # 170 KB, against 43 KB with the original ids, as each resolvent fills
-    # a page of row slots of its own; memory follows the records, not the
-    # largest id.  Ids near 10**12 are rejected as they are read.
+    # 38 KB, as with the original ids (40 KB), since rows are found by
+    # bisection; memory follows the records, not the largest id.  Ids
+    # near 10**12 are rejected as they are read.
     formula = gen_random_kcnf(30, 150, 3, 1)
     records = export_trace(Solver(formula, SolverConfig(bcp=True)).solve().proof).splitlines()
     m = len(formula)

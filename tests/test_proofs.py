@@ -1,5 +1,4 @@
 """Resolution graphs, the independent checker, and the trace/DOT formats."""
-import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -135,9 +134,22 @@ class TestRefutationGraph:
         g = init_refutation(f)
         forged = ProofNode(5, Clause([9]))
         g.nodes[5] = forged
-        with pytest.raises(ValueError, match="node id 5 already used"):
-            g.add_node(2, 3, 3)  # a valid step, which would be filed as 5
+        assert g.add_node(2, 3, 3) == 6  # the default id is past every filed id
         assert g.nodes[5] == forged
+
+    def test_explicit_ids_below_a_filed_id_rejected(self):
+        f = make_base_formula()
+        g = init_refutation(f)
+        g.add_node(2, 3, 3, node_id=9)
+        with pytest.raises(ValueError) as info:
+            g.add_node(2, 3, 3, node_id=7)
+        assert str(info.value) == "node id 7 must exceed 9, the highest id filed before it"
+        h = RefutationGraph()
+        h.add_source(f.clause(3), 3)
+        with pytest.raises(ValueError) as info:
+            h.add_source(f.clause(2), 2)
+        assert str(info.value) == "node id 2 must exceed 3, the highest id filed before it"
+        assert g.node_ids() == [2, 3, 9] and h.node_ids() == [3]
 
     def test_size_counts_resolvents_only(self):
         g = make_shared_node_refutation(make_base_formula())
@@ -312,11 +324,15 @@ def test_each_fault_has_one_wording(sources, record, message):
         parse_trace(text + record + "\n", f)
     assert str(info.value) == "line %d: %s" % (len(sources) + 2, message)
 
-    g = graph_of_sources()
-    if kind == "o":
-        g.nodes[nid] = ProofNode(nid, Clause(numbers[1:]))
-    else:
-        g.nodes[nid] = ProofNode(nid, Clause(numbers[4:]), numbers[2], numbers[3], numbers[1])
+    # The graph is filed in id order, the faulty node among the sources.
+    g = RefutationGraph()
+    for cid in sorted([*sources, nid]):
+        if cid != nid:
+            g.add_source(f.clause(cid), cid)
+        elif kind == "o":
+            g.nodes[nid] = ProofNode(nid, Clause(numbers[1:]))
+        else:
+            g.nodes[nid] = ProofNode(nid, Clause(numbers[4:]), numbers[2], numbers[3], numbers[1])
     assert check_refutation(g, f).problems == ["node %d: %s" % (nid, message)]
 
 
@@ -556,39 +572,68 @@ class TestNodeStore:
         one = g.add_node(1, kept[7], 2)
         assert g.literals(one) == (1,) and g.literals(g.add_node(4, one, 1)) == (2,)
 
-    def test_ids_out_of_order_are_kept_in_id_order(self):
+    def test_ids_out_of_order_are_rejected(self):
         f = make_base_formula()
         text = "p trace\no 1 1 2 0\no 2 -2 3 0\no 3 -2 -3 0\no 4 -1 2 0\n"
         text += "r 9 3 2 3 -2 0\nr 7 1 1 4 2 0\nr 10 2 7 9 0\n"
-        g = parse_trace(text, f)
-        assert g.node_ids() == [1, 2, 3, 4, 7, 9, 10]
-        report = check_refutation(g, f)
-        assert report.valid and report.complete and report.size == 3
-        records = ["r 7 1 1 4 2 0", "r 9 3 2 3 -2 0", "r 10 2 7 9 0"]
-        assert export_trace(g).splitlines()[5:] == records
+        with pytest.raises(ValueError) as info:
+            parse_trace(text, f)
+        assert str(info.value) == "line 7: node id 7 must exceed 9, the highest id filed before it"
 
-    def test_descending_ids_parse_in_linear_work(self):
-        # 40,000 resolvents of the same two sources, filed from the highest
-        # id down: no row moves when one arrives below the others, so the
-        # parse takes about as long as with the ids ascending.
+    def test_descending_ids_are_rejected(self):
+        # 40,000 resolvents of the same two sources: filed from the highest
+        # id down, the trace fails at its second source; ascending, it
+        # parses and checks.
         f = Formula(1, [(1,), (-1,)])
         n = 40000
         down = "p trace\no 2 -1 0\no 1 1 0\n" + "".join("r %d 1 1 2 0\n" % k for k in range(n + 2, 2, -1))
         up = "p trace\no 1 1 0\no 2 -1 0\n" + "".join("r %d 1 1 2 0\n" % k for k in range(3, n + 3))
-        g = parse_trace(down, f)
+        with pytest.raises(ValueError) as info:
+            parse_trace(down, f)
+        assert str(info.value) == "line 3: node id 1 must exceed 2, the highest id filed before it"
+        g = parse_trace(up, f)
         assert export_trace(g) == up
         report = check_refutation(g, f)
         assert report.valid and report.complete and report.size == n
 
-        def best(text):
-            seconds = []
-            for _ in range(3):
-                start = time.perf_counter()
-                parse_trace(text, f)
-                seconds.append(time.perf_counter() - start)
-            return min(seconds)
+    def test_filing_over_a_filed_id_rewrites_its_row(self):
+        # A middle row and the last one, each rewritten as a valid step
+        # with new premises, pivot and literals: no row is added, and the
+        # nodes built on the old (-2) at 5 no longer check.
+        f = make_base_formula()
+        g = make_shared_node_refutation(f)
+        rows = len(g._ids)
+        for forged in (ProofNode(5, Clause([1, 3]), 1, 2, 2), ProofNode(8, Clause([1, -2]), 5, 3, 3)):
+            g.nodes[forged.id] = forged
+            assert g.nodes[forged.id] == forged
+        assert len(g._ids) == rows and g.node_ids() == [1, 2, 3, 4, 5, 6, 7, 8]
+        assert g.literals(5) == (1, 3) and g.literals(6) == (1,)
+        assert check_refutation(g, f).problems == [
+            "node 6: pivot 2 does not occur with opposite polarities in the premises",
+            "node 7: pivot 2 does not occur with opposite polarities in the premises",
+        ]
 
-        assert best(down) < 2 * best(up)
+    def test_pruned_ids_are_never_filed_again(self):
+        # The last row pruned, then 200 more, so that compaction drops
+        # their rows: filing over the last fails the same way before and
+        # after its row is gone.
+        f = make_base_formula()
+        g = init_refutation(f)
+        copies = [g.add_node(2, 3, 3) for _ in range(300)]
+        last = copies[-1]
+        forged = ProofNode(last, Clause([-2]), 2, 3, 3)
+        message = "node id %d must exceed %d, the highest id filed before it" % (last, last)
+        assert g.prune(last) == (2, 3) and last not in g.nodes
+        with pytest.raises(ValueError) as before:
+            g.nodes[last] = forged
+        rows = len(g._ids)
+        for nid in copies[:200]:
+            g.prune(nid)
+        assert len(g._ids) < rows
+        with pytest.raises(ValueError) as after:
+            g.nodes[last] = forged
+        assert str(before.value) == str(after.value) == message
+        assert last not in g.nodes and g.add_node(2, 3, 3) == last + 1
 
     def test_sparse_ids_up_to_the_column_limit(self):
         f = make_base_formula()
