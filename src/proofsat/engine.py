@@ -5,7 +5,10 @@ Three modes share one trail and two drivers:
 * ``sss`` (default, its own driver): a backtracking search that tags every
   flipped decision with a parent clause and resolves those parents
   together while backtracking, so an unsatisfiable run terminates holding
-  a machine checkable refutation of the input.  Four optional features:
+  a machine checkable refutation of the input.  It resolves on the
+  literals it holds and files each resolvent unchecked
+  (``RefutationGraph.add_resolvent``); ``debug_checks`` re-derives every
+  step by the graph's rules.  Four optional features:
   ``bcp`` (unit-driven decisions), ``ncb`` (re-seating a flip at the lowest
   level where its parent clause stays viable), ``cdb_1uip`` (substituting
   the unique block variable of the backtracking clause for the block's
@@ -35,10 +38,10 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .cnf import Clause, Formula, Literal, Variable
-from .proofs import RefutationGraph, check_refutation, init_refutation
+from .proofs import RefutationGraph, _derive, _resolvent_set, check_refutation, init_refutation
 
 MODE_SSS = "sss"
 MODE_DLL = "dll_strict"
@@ -253,13 +256,14 @@ class Solver:
         self.clause_lits: List[Tuple[Literal, ...]] = [
             clause.literals for clause in self.formula.clauses
         ]
-        self.clause_len: List[int] = [len(lits) for lits in self.clause_lits]
+        # sat_count[i] / not_false[i]: how many literals of clause i are true
+        # / not false.  The clause is falsified when not_false[i] is 0, and
+        # unit-open when it is 1 and sat_count[i] is 0.
         self.sat_count: List[int] = [0] * len(self.clause_lits)
-        self.false_count: List[int] = [0] * len(self.clause_lits)
-        # occ_pos[v] / occ_neg[v]: indices of the clauses holding v / -v; a
-        # literal that no clause holds shares the empty tuple, not a list.
-        self.occ_pos: List[Sequence[int]] = [()] * (self.n + 1)
-        self.occ_neg: List[Sequence[int]] = [()] * (self.n + 1)
+        self.not_false: List[int] = [len(lits) for lits in self.clause_lits]
+        # occ[lit]: indices of the clauses holding lit (occ[-v] counts from
+        # the end); a literal that no clause holds shares the empty tuple.
+        self.occ: List[Sequence[int]] = [()] * (2 * self.n + 1)
         self._index(0)
         self.falsified: set = set()  # clause ids
         self.num_sat = 0
@@ -269,10 +273,10 @@ class Solver:
         # queued (unit_queued[i] set and i in unit_heap).  A queued clause
         # that stops being unit-open stays in the heap until it reaches the
         # top, where _bcp_pick drops it; the flag keeps each clause in the
-        # heap at most once.  Clauses become unit-open only in _assign and
-        # _unassign, which queue them; input unit clauses start out queued
-        # (listed in ascending order, which is already a heap).
-        self.unit_heap: List[int] = [i for i, k in enumerate(self.clause_len) if k == 1]
+        # heap at most once.  Clauses become unit-open only in _push, _pop
+        # and _flip_top, which queue them; input unit clauses start out
+        # queued (listed in ascending order, which is already a heap).
+        self.unit_heap: List[int] = [i for i, k in enumerate(self.not_false) if k == 1]
         self.unit_queued = bytearray(len(self.clause_lits))
         for i in self.unit_heap:
             self.unit_queued[i] = 1
@@ -283,7 +287,9 @@ class Solver:
         self.trail_var: List[int] = [0] * (self.n + 1)
         self.trail_flipped = bytearray(self.n + 1)  # 1 where the level is flipped
         self.trail_parent: List[int] = [0] * (self.n + 1)
+        self.parent_lits: Dict[int, Tuple[Literal, ...]] = {}  # level -> its parent's literals
         self.d = 0
+        self.low = 1  # every variable below it is assigned
 
         # Proof bookkeeping (sss only): input clause k is proof node k, and
         # recorded_node maps a recorded clause's id to its derivation's node.
@@ -322,93 +328,102 @@ class Solver:
 
     # -- assignment machinery --------------------------------------------
 
-    def _assign(self, var: Variable, value: bool, level: int) -> None:
-        if self.val[var] is not None:
-            raise RuntimeError("variable %d assigned twice" % var)
+    def _push(self, var: Variable, value: bool) -> None:
+        """Assign unassigned ``var`` at a new level."""
+        d = self.d = self.d + 1
+        self.trail_var[d] = var
+        self.trail_flipped[d] = 0
         self.val[var] = value
-        self.level_of[var] = level
-        if value:
-            true_occ, false_occ = self.occ_pos[var], self.occ_neg[var]
-        else:
-            true_occ, false_occ = self.occ_neg[var], self.occ_pos[var]
-        sat_count = self.sat_count
+        self.level_of[var] = d
+        lit = var if value else -var
+        sat_count, not_false = self.sat_count, self.not_false
         newly_sat = 0
-        for i in true_occ:
+        for i in self.occ[lit]:
             if not sat_count[i]:
                 newly_sat += 1
             sat_count[i] += 1
         self.num_sat += newly_sat
-        # After the true occurrences, so a clause holding both v and -v is
-        # tested against its final sat count.
-        false_count, clause_len = self.false_count, self.clause_len
-        queued = self.unit_queued
-        for i in false_occ:
-            f = false_count[i] + 1
-            false_count[i] = f
-            rest = clause_len[i] - f
-            if not rest:
-                self.falsified.add(i + 1)
-            elif rest == 1 and not sat_count[i] and not queued[i]:
+        # After the true occurrences, so a clause holding v and -v is tested
+        # against its final sat count.
+        queued, falsified = self.unit_queued, self.falsified
+        for i in self.occ[-lit]:
+            k = not_false[i] - 1
+            not_false[i] = k
+            if not k:
+                falsified.add(i + 1)
+            elif k == 1 and not sat_count[i] and not queued[i]:
                 queued[i] = 1
                 heappush(self.unit_heap, i)
 
-    def _unassign(self, var: Variable) -> None:
-        value = self.val[var]
-        if value:
-            true_occ, false_occ = self.occ_pos[var], self.occ_neg[var]
-        else:
-            true_occ, false_occ = self.occ_neg[var], self.occ_pos[var]
-        sat_count, false_count, clause_len = self.sat_count, self.false_count, self.clause_len
-        queued = self.unit_queued
-        for i in false_occ:
-            f = false_count[i]
-            false_count[i] = f - 1
-            if f == clause_len[i]:
-                # A falsified clause has no true literal, so it is now unit-open.
+    def _pop(self) -> None:
+        """Unassign the current level's variable and drop the level."""
+        d = self.d
+        var = self.trail_var[d]
+        lit = var if self.val[var] else -var
+        sat_count, not_false, queued = self.sat_count, self.not_false, self.unit_queued
+        for i in self.occ[-lit]:
+            k = not_false[i]
+            not_false[i] = k + 1
+            if not k:  # falsified, so it had no true literal: now unit-open
                 self.falsified.discard(i + 1)
                 if not queued[i]:
                     queued[i] = 1
                     heappush(self.unit_heap, i)
-        # After the false occurrences, so a clause holding both v and -v is
-        # tested against its final false count.
+        # After the false occurrences, so a clause holding v and -v is tested
+        # against its final not-false count.
         newly_unsat = 0
-        for i in true_occ:
+        for i in self.occ[lit]:
             left = sat_count[i] - 1
             sat_count[i] = left
             if not left:
                 newly_unsat += 1
-                if false_count[i] == clause_len[i] - 1 and not queued[i]:
+                if not_false[i] == 1 and not queued[i]:
                     queued[i] = 1
                     heappush(self.unit_heap, i)
         self.num_sat -= newly_unsat
         self.val[var] = None
         self.level_of[var] = 0
-
-    def _push(self, var: Variable, value: bool) -> None:
-        self.d += 1
-        d = self.d
-        self.trail_var[d] = var
-        self.trail_flipped[d] = 0
-        self._assign(var, value, d)
-
-    def _pop(self) -> None:
-        self._unassign(self.trail_var[self.d])
-        self.trail_parent[self.d] = 0
-        self.d -= 1
+        self.trail_parent[d] = 0
+        self.d = d - 1
+        if var < self.low:
+            self.low = var
 
     def _flip_top(self) -> None:
+        """Flip the current level's variable in one pass over its two
+        occurrence lists.  The clauses its literal turns true come first,
+        so a clause holding v and -v never reaches 0 in either count."""
         d = self.d
         var = self.trail_var[d]
-        value = self.val[var]
-        self._unassign(var)
-        self._assign(var, not value, d)
+        lit = -var if self.val[var] else var  # the literal the flip makes true
+        sat_count, not_false, falsified = self.sat_count, self.not_false, self.falsified
+        newly_sat = 0
+        for i in self.occ[lit]:
+            if not sat_count[i]:
+                newly_sat += 1
+                if not not_false[i]:
+                    falsified.discard(i + 1)
+            sat_count[i] += 1
+            not_false[i] += 1
+        queued = self.unit_queued
+        for i in self.occ[-lit]:
+            s = sat_count[i] - 1
+            sat_count[i] = s
+            k = not_false[i] - 1
+            not_false[i] = k
+            if not s:  # a clause with a true literal has k > 0
+                newly_sat -= 1
+                if not k:
+                    falsified.add(i + 1)
+                elif k == 1 and not queued[i]:
+                    queued[i] = 1
+                    heappush(self.unit_heap, i)
+        self.num_sat += newly_sat
+        self.val[var] = lit > 0
         self.trail_flipped[d] = 1
+        if self.config.debug_checks:
+            self._check_counts((*self.occ[var], *self.occ[-var]))
 
     # -- literal/choice helpers ------------------------------------------
-
-    def _lit_false(self, lit: Literal) -> bool:
-        value = self.val[abs(lit)]
-        return value is not None and value != (lit > 0)
 
     def _bcp_pick(self) -> Optional[Tuple[Variable, bool]]:
         """Lowest-id unit-open clause (exactly one unassigned literal and no
@@ -420,10 +435,10 @@ class Solver:
         once the stale entries above it are dropped, the heap's top is the
         lowest-id unit-open clause.  The top itself stays queued."""
         heap, queued = self.unit_heap, self.unit_queued
-        sat_count, false_count, clause_len = self.sat_count, self.false_count, self.clause_len
+        sat_count, not_false = self.sat_count, self.not_false
         while heap:
             i = heap[0]
-            if not sat_count[i] and false_count[i] == clause_len[i] - 1:
+            if not sat_count[i] and not_false[i] == 1:
                 break
             heappop(heap)
             queued[i] = 0
@@ -452,8 +467,9 @@ class Solver:
             unassigned = [v for v in range(1, self.n + 1) if self.val[v] is None]
             var = self._rng.choice(unassigned)
             return (var, self._rng.random() < 0.5, False)
-        for v in range(1, self.n + 1):
+        for v in range(self.low, self.n + 1):
             if self.val[v] is None:
+                self.low = v
                 return (v, False, False)
         raise RuntimeError("no unassigned variable to decide")
 
@@ -529,7 +545,7 @@ class Solver:
                         "level %d parent pre-set to node %d but pinned to %d"
                         % (d, self.trail_parent[d], parent_node)
                     )
-                self.trail_parent[d] = parent_node
+                self.trail_parent[d], self.parent_lits[d] = parent_node, parent_lits
                 self._flip_top()
                 self.stats.flips += 1
                 yield (Flip, d)
@@ -573,13 +589,14 @@ class Solver:
             if not flipped and in_np:
                 break
             if flipped and in_np:
+                left, left_lits = self.trail_parent[d], self.parent_lits[d]  # it holds -lit
+                plus, minus = (left_lits, np_lits) if lit < 0 else (np_lits, left_lits)
+                lits = tuple(_resolvent_set(plus, minus, var))
+                new_id = self.graph.add_resolvent(left, np_node, var, lits)
                 if cfg.debug_checks:
-                    self._check_premises_fresh(self.trail_parent[d], np_node)
-                new_id = self.graph.add_node(self.trail_parent[d], np_node, var)
+                    self._check_resolution(new_id, left, np_node, var, (left_lits, np_lits), lits)
                 self.stats.nodes_added += 1
-                np_node = new_id
-                np_lits = self.graph.literals(new_id)
-                np_clause_id = None
+                np_node, np_lits, np_clause_id = new_id, lits, None
                 yield (BacktrackResolve, new_id)
             elif flipped:
                 self.stats.pruned_resolution += self._abandon(self.trail_parent[d])
@@ -653,7 +670,8 @@ class Solver:
         sits in the backtracking clause, and every other literal of that
         clause lies strictly below the enclosing block's decision level g,
         substitute this variable for the decision at g (unflipped, parent
-        pre-set to the backtracking clause's node).  Returns (g, var) when
+        pre-set to the backtracking clause's node; the driver pins that node
+        again, with its literals, before it flips g).  Returns (g, var) when
         a substitution happened."""
         d = self.d
         if not self.trail_flipped[d]:  # level 0 is never flipped
@@ -696,13 +714,12 @@ class Solver:
         """Append the clause where _backtrack stopped at d > 0; return its
         id.  The prefix falsifies it there and no instance clause, so it is
         new and starts falsified, which keeps it out of the bcp heap until
-        _unassign un-falsifies it."""
+        _pop or _flip_top un-falsifies it."""
         i = len(self.clause_lits)
         cid = i + 1
         self.clause_lits.append(np_lits)
-        self.clause_len.append(len(np_lits))
         self.sat_count.append(0)
-        self.false_count.append(len(np_lits))
+        self.not_false.append(0)
         self.unit_queued.append(0)
         self._index(i)
         self.falsified.add(cid)
@@ -713,17 +730,13 @@ class Solver:
 
     def _index(self, start: int) -> None:
         """Index clauses start.. by literal, creating each list on first use."""
-        occ_pos, occ_neg = self.occ_pos, self.occ_neg
+        occ = self.occ
         for i in range(start, len(self.clause_lits)):
             for lit in self.clause_lits[i]:
-                if lit > 0:
-                    occ, var = occ_pos, lit
+                if occ[lit]:
+                    occ[lit].append(i)
                 else:
-                    occ, var = occ_neg, -lit
-                if occ[var]:
-                    occ[var].append(i)
-                else:
-                    occ[var] = [i]
+                    occ[lit] = [i]
 
     # -- pruning accounting ----------------------------------------------
 
@@ -759,6 +772,7 @@ class Solver:
             for v in range(1, self.n + 1)
         }
         if self.config.debug_checks:
+            self._check_counts(range(len(self.clause_lits)))
             if not verify_model(self.formula, model):
                 raise InvariantViolation("satisfying assignment fails verification")
             self._check_graph_closed()
@@ -773,10 +787,10 @@ class Solver:
         return (Sat,)
 
     def _finish_unsat(self, root: Optional[int]) -> tuple:
+        if self.config.debug_checks:
+            self._check_counts(range(len(self.clause_lits)))
         proof = None
         if self.graph is not None and root is not None:
-            if self.config.debug_checks and self.graph.literals(root):
-                raise InvariantViolation("refutation root is not the empty clause")
             proof = self.graph.extract_derivation(root)
             self.stats.final_proof_size = proof.size
             if self.config.debug_checks:
@@ -816,21 +830,18 @@ class Solver:
         var = self.trail_var[level]
         satisfied_lit = var if self.val[var] else -var
         if satisfied_lit not in parent_lits:
-            raise InvariantViolation(
-                "flip at level %d not supported by its parent clause" % level
-            )
-        for q in parent_lits:
-            if q == satisfied_lit:
-                continue
-            qv = abs(q)
-            if qv == var:
+            raise InvariantViolation("flip at level %d not supported by its parent clause" % level)
+        self._check_falsified_below(parent_lits, satisfied_lit, level, "parent clause")
+
+    def _check_falsified_below(
+        self, lits: Sequence[Literal], kept: Literal, level: int, what: str
+    ) -> None:
+        """Every literal of ``lits`` but ``kept`` is false, set below ``level``."""
+        for q in lits:
+            value = self.val[abs(q)]
+            if q != kept and (value is None or value == (q > 0) or self.level_of[abs(q)] >= level):
                 raise InvariantViolation(
-                    "parent clause mentions the flip variable twice"
-                )
-            if not self._lit_false(q) or self.level_of[qv] >= level:
-                raise InvariantViolation(
-                    "parent clause literal %d not falsified below level %d"
-                    % (q, level)
+                    "%s literal %d not falsified below level %d" % (what, q, level)
                 )
 
     def _check_bcp_pick(self, pick: Optional[Tuple[Variable, bool]]) -> None:
@@ -843,7 +854,7 @@ class Solver:
             )
         expected = None
         for i, lits in enumerate(self.clause_lits):
-            if self.sat_count[i] == 0 and self.false_count[i] == self.clause_len[i] - 1:
+            if self.sat_count[i] == 0 and self.not_false[i] == 1:
                 expected = self._unit_assignment(lits)
                 break
         if pick != expected:
@@ -858,17 +869,9 @@ class Solver:
         current level's flip literal is falsified strictly below the current
         level.  Its derivation staying a tree is enforced separately: no
         resolvent is ever consumed as a premise twice
-        (:meth:`_check_premises_fresh`), so the derivation hanging off any
+        (:meth:`_check_resolution`), so the derivation hanging off any
         live node is a tree by construction."""
-        d = self.d
-        for q in np_lits:
-            if q == flip_lit:
-                continue
-            if not self._lit_false(q) or self.level_of[abs(q)] >= d:
-                raise InvariantViolation(
-                    "backtracking clause literal %d not falsified below level %d"
-                    % (q, d)
-                )
+        self._check_falsified_below(np_lits, flip_lit, self.d, "backtracking clause")
         if (
             np_node
             and np_node in self.consumed
@@ -878,10 +881,18 @@ class Solver:
                 "backtracking clause node %d was already consumed" % np_node
             )
 
-    def _check_premises_fresh(self, left: int, right: int) -> None:
-        """A recorded-clause node stays live in the instance and may be
-        consumed repeatedly (its derivation becomes shared); any other
-        resolvent must be consumed at most once, and is marked when it is."""
+    def _check_resolution(
+        self, nid: int, left: int, right: int, pivot: Variable, premise_lits: tuple, lits: tuple
+    ) -> None:
+        """Resolvent ``nid``, filed unchecked, obeys the rules of ``_derive``
+        and holds ``lits``.  A recorded-clause node stays live in the
+        instance and may be consumed repeatedly (its derivation becomes
+        shared); any other resolvent is consumed at most once, and marked."""
+        try:
+            if _derive(nid, left, right, pivot, *premise_lits) != set(lits):
+                raise ValueError("literals differ from the premises' resolvent")
+        except ValueError as exc:
+            raise InvariantViolation("resolvent %d: %s" % (nid, exc)) from None
         for premise in (left, right):
             if premise in self.recorded_nodes:
                 continue
@@ -909,23 +920,36 @@ class Solver:
                 raise InvariantViolation("node %d lost a premise" % node.id)
 
     def _check_pruning_partition(self, proof: RefutationGraph) -> None:
-        proof_resolvents = {
-            nid for nid, node in proof.nodes.items() if not node.is_source
-        }
-        overlap = proof_resolvents & self.pruned_marks
+        overlap = {nid for nid, node in proof.nodes.items() if not node.is_source}
+        overlap &= self.pruned_marks
         if overlap:
-            raise InvariantViolation(
-                "pruned nodes %s appear in the final refutation" % sorted(overlap)
-            )
+            raise InvariantViolation("pruned nodes %s in the final refutation" % sorted(overlap))
         stats = self.stats
-        credited = (
-            stats.pruned_resolution + stats.pruned_ncb + stats.pruned_uip
-        )
-        if credited != len(self.pruned_marks):
+        if stats.pruned_resolution + stats.pruned_ncb + stats.pruned_uip != len(self.pruned_marks):
             raise InvariantViolation("pruning counters disagree with marks")
-        abandoned = stats.nodes_added - stats.final_proof_size - credited
-        if abandoned < 0:
-            raise InvariantViolation("pruning accounting went negative")
+
+    def _check_counts(self, indices: Iterable[int]) -> None:
+        """Recount from ``val`` the true and not-false literals of the
+        clauses at ``indices``, and from the counters of every clause the
+        satisfied and the falsified ones.  Runs after each flip, which
+        follows every conflict, and at the finish."""
+        val, sat_count, not_false = self.val, self.sat_count, self.not_false
+        for i in indices:
+            true = left = 0
+            for q in self.clause_lits[i]:
+                value = val[abs(q)]
+                if value is None or value == (q > 0):
+                    left += 1
+                    true += value is not None
+            held, recount = (sat_count[i], not_false[i]), (true, left)
+            if held != recount:
+                raise InvariantViolation("clause %d counts %r, recount %r" % (i + 1, held, recount))
+        if (
+            len(sat_count) - sat_count.count(0) != self.num_sat
+            or not_false.count(0) != len(self.falsified)
+            or any(not_false[i - 1] for i in self.falsified)
+        ):
+            raise InvariantViolation("satisfied or falsified clauses miscounted")
 
 
 def solve(formula: Formula, config: Optional[SolverConfig] = None) -> SolveOutcome:

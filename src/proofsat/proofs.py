@@ -26,7 +26,7 @@ from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count
 from operator import add
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .cnf import Clause, Formula, Literal, Variable, _blocks, _lines, _tautological
 
@@ -134,7 +134,10 @@ class RefutationGraph:
     Each filed node is a row, except a source reserved by
     ``init_refutation``: its id, premises, pivot, and the start and length
     of its literals in one flat arena, each an ``array('i')``, and a byte
-    saying whether the row is still filed.  Ids only grow, so rows are
+    saying whether the row is still filed.  The arena keeps literals in the
+    order they were filed, a resolvent's as the kernel gave them; every
+    read (``literals``, ``nodes``, the trace and DOT writers) gives them in
+    ``Clause`` order.  Ids only grow, so rows are
     appended in id order and a filed id finds its row by bisection.  A
     new id must exceed every id ever given a row; filing a node that is
     still filed rewrites its row in place.  Unfiling a row leaves it dead;
@@ -204,14 +207,14 @@ class RefutationGraph:
         start = self._start[r]
         return r, self._lits[start : start + self._len[r]]
 
-    def _file(self, nid: int, left: int, right: int, pivot: int, lits: Tuple[Literal, ...]) -> None:
+    def _file(self, nid: int, left: int, right: int, pivot: int, lits: Collection[Literal]) -> None:
         """File node ``nid``: append a row for an id above every id ever
         given one, or rewrite the row of a filed node in place.  ``lits``
-        are sorted by variable, as ``Clause`` sorts them, and ``nid``,
-        ``left`` and ``right`` lie in the columns' range.  Raises
-        ValueError, storing nothing, when a literal or the pivot does not,
-        or when ``nid`` is below such an id and not filed."""
-        if (lits and abs(lits[-1]) > _MAX) or pivot > _MAX:
+        are stored in the order given, and ``nid``, ``left`` and ``right``
+        lie in the columns' range.  Raises ValueError, storing nothing,
+        when a literal or the pivot does not, or when ``nid`` is below such
+        an id and not filed."""
+        if pivot > _MAX or (lits and (max(lits) > _MAX or min(lits) < -_MAX)):
             raise ValueError("node %d holds a value beyond +-%d" % (nid, _MAX))
         arena = self._lits
         if nid < self._next_id:
@@ -305,10 +308,21 @@ class RefutationGraph:
         except TypeError:  # an id that is not an int names no node
             left = right = None
         lits = _derive(nid, left_id, right_id, pivot_var, left, right)
-        self._file(nid, left_id, right_id, pivot_var, tuple(sorted(lits, key=abs)))
-        if left_id <= reserved:  # the step holds: file its new sources
+        return self.add_resolvent(left_id, right_id, pivot_var, lits, nid)
+
+    def add_resolvent(
+        self, left_id: int, right_id: int, pivot_var: Variable, lits: Collection[Literal],
+        node_id: Optional[int] = None,
+    ) -> int:
+        """``add_node`` for a caller that has computed the resolvent's
+        literals ``lits`` itself, as a solver holding both premises' does:
+        the rules of ``_derive`` are not checked, only the id and the
+        columns' range.  Returns the id."""
+        nid = self._claim_id(node_id)
+        self._file(nid, left_id, right_id, pivot_var, lits)
+        if left_id <= self._reserved:  # file the step's new sources
             self._src_filed[left_id] = 1
-        if right_id <= reserved:
+        if right_id <= self._reserved:
             self._src_filed[right_id] = 1
         return nid
 
@@ -339,7 +353,7 @@ class RefutationGraph:
         lits = self._locate(node_id)[1]
         if lits is None:
             raise KeyError("no node with id %r" % (node_id,))
-        return tuple(lits)
+        return tuple(sorted(lits, key=abs))
 
     def node_ids(self) -> List[int]:
         return list(self.nodes)
@@ -557,7 +571,7 @@ def _trace_blocks(graph: RefutationGraph) -> Iterator[str]:
     def lines() -> Iterator[str]:
         yield "p trace\n"
         for _, nid, left, right, pivot, lits in graph._records():
-            text = " ".join(map(str, lits))
+            text = " ".join(map(str, sorted(lits, key=abs)))
             if left == _NONE:
                 head = "o %d" % nid
             else:
@@ -632,16 +646,18 @@ def parse_trace(text: str, formula: Formula) -> RefutationGraph:
 
 def _dot_blocks(graph: RefutationGraph) -> Iterator[str]:
     def lines() -> Iterator[str]:
+        locate = graph._locate
         yield "digraph refutation {\n  rankdir=BT;\n"
         for _, nid, left, _, _, lits in graph._records():
-            label = " ".join(map(str, lits)) or "empty"
+            label = " ".join(map(str, sorted(lits, key=abs))) or "empty"
             shape = "box" if left == _NONE else "ellipse"
             yield '  n%d [label="%s", shape=%s];\n' % (nid, label, shape)
         for _, nid, left, right, pivot, _ in graph._records():
             if left == _NONE:
                 continue
             for premise in (left, right):
-                edge_lit = -pivot if pivot in graph.literals(premise) else pivot
+                lits = locate(premise)[1] or graph.literals(premise)  # KeyError if not filed
+                edge_lit = -pivot if pivot in lits else pivot
                 yield '  n%d -> n%d [label="%d"];\n' % (premise, nid, edge_lit)
         yield "}\n"
 

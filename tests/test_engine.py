@@ -1,6 +1,7 @@
 """Search engine: frozen event streams, statistics, hook behaviour, and
 configuration validation.  Expected traces were derived by hand for the small
 formulas and pinned; any drift in the engine shows up as a diff here."""
+import dataclasses
 import random
 import typing
 
@@ -23,6 +24,7 @@ from proofsat import (
     SolverConfig,
     StepEvent,
     Unsat,
+    brute_force_sat,
     check_refutation,
     export_trace,
     gen_random_kcnf,
@@ -575,3 +577,26 @@ class TestStatsAndModel:
         assert verify_model(sat, {1: True, 2: True})
         assert verify_model(sat, {1: False, 2: True}) is False
         assert verify_model(sat, {2: True}) is False  # unassigned var 1
+
+
+class TestCounters:
+    def test_clauses_holding_both_literals_of_a_variable(self):
+        # A Formula keeps a clause with v and -v, so it sits in both of v's
+        # occurrence lists and a flip of v moves a true literal from one to
+        # the other.  The debug checks recount every flipped variable's
+        # clauses from the assignment; the runs stay clean, and each
+        # verdict is the oracle's.
+        verdicts = set()
+        for seed in range(1, 6):
+            clauses = [c.literals for c in gen_random_kcnf(10, 43, 3, seed).clauses]
+            clauses[3:3] = [(1, -1), (2, -2, 7)]
+            clauses.append((-4, 4, -9))
+            formula = Formula(10, clauses)
+            expected = "SAT" if brute_force_sat(formula) is not None else "UNSAT"
+            for config in SWEEP_CONFIGS[:16]:
+                config = dataclasses.replace(config, debug_checks=True)
+                out = solve(formula, config)
+                assert out.verdict == expected, (seed, _config_label(config))
+                assert out.stats.flips > 0
+            verdicts.add(expected)
+        assert verdicts == {"SAT", "UNSAT"}

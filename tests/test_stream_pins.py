@@ -12,6 +12,12 @@ The four ``ncb_left_adjust`` digests per formula were added later, computed
 on the code from before the conflict-analysis loop stopped re-testing the
 pending clause; the flag changes all of them on the two 50-variable formulas.
 
+The plain ``sss`` digests (every hook combination without ``bcp``, and one
+run with a fixed ``order``) were computed before a flip became one pass
+over the occurrence lists and before the search resolved on the literals
+it holds.  They use 24- and 28-variable formulas because ``sss`` without
+``bcp`` needs minutes on the 50-variable ones.
+
 The ``tae`` and plain ``dll_strict`` digests were computed while each mode
 still had its own driver loop, before the two were merged into one; they use
 14-variable formulas because plain ``dll_strict`` needs minutes on the
@@ -54,7 +60,20 @@ def _bcp_configs():
     return configs
 
 
+def _plain_configs():
+    configs = {}
+    for ncb, cdb, ccr in itertools.product((False, True), repeat=3):
+        kw = dict(ncb=ncb, cdb_1uip=cdb, ccr=ccr)
+        configs[_config_label(SolverConfig(**kw))] = kw
+    for cdb, ccr in itertools.product((False, True), repeat=2):
+        kw = dict(ncb=True, ncb_left_adjust=True, cdb_1uip=cdb, ccr=ccr)
+        configs[_config_label(SolverConfig(**kw))] = kw
+    configs["sss order=5,3"] = dict(order=(5, 3))
+    return configs
+
+
 BCP_CONFIGS = _bcp_configs()
+PLAIN_CONFIGS = _plain_configs()
 CHRONOLOGICAL_CONFIGS = {"tae": dict(mode=MODE_TAE), "dll_strict": dict(mode=MODE_DLL)}
 
 # name -> (formula factory, the configurations run on it)
@@ -64,6 +83,9 @@ FORMULAS = {
     "dup_unit": (duplicate_unit_formula, BCP_CONFIGS),  # UNSAT
     "rand14_seed1": (lambda: gen_random_kcnf(14, 60, 3, 1), CHRONOLOGICAL_CONFIGS),  # SAT
     "rand14_seed2": (lambda: gen_random_kcnf(14, 60, 3, 2), CHRONOLOGICAL_CONFIGS),  # UNSAT
+    "rand24_seed1": (lambda: gen_random_kcnf(24, 102, 3, 1), PLAIN_CONFIGS),  # UNSAT
+    "rand24_seed2": (lambda: gen_random_kcnf(24, 102, 3, 2), PLAIN_CONFIGS),  # SAT
+    "rand28_seed3": (lambda: gen_random_kcnf(28, 119, 3, 3), PLAIN_CONFIGS),  # UNSAT
 }
 
 
@@ -137,6 +159,51 @@ PINNED = {
     "rand14_seed2": {
         "tae": "1e02ee99a247c3f53fdafdacc2157037cc6a1be7b3f2a568acc0894ea5783002",
         "dll_strict": "d53c51a3f42cedbac79dfbe8ebc54b77a26ba1642e186f0bb8fa6ae6a542f921",
+    },
+    "rand24_seed1": {
+        "sss": "fb2d1c4d776dc4cbcd9e4b2927d22d9f5d9bcfff7f145e5f64a1b34f1068c016",
+        "sss+ccr": "75bf87026540ef1d88a5ebb23c289f2ea24f521aead5917d92295b3ca1198493",
+        "sss+cdb": "a58a60734169f0d4cc5fdc8f68444dcc6ead7125f9bc1c65f9edcfdd834eb638",
+        "sss+cdb+ccr": "316b628ae5694a7d49ffcd167215edfe41ba04be55d9475de0bf84aa1b55e480",
+        "sss+ncb": "9d9fc875e82404699147064542713e69626ff38ae764e3eff200e78c74bd5248",
+        "sss+ncb+ccr": "f8c815a9451e700d93a0ec9ff5d3f6770ccb33ff777e8e10dfc791178571313b",
+        "sss+ncb+cdb": "a18803cf29d60ca595a035cdca183358d4a67721b68b912e929946919e1ee746",
+        "sss+ncb+cdb+ccr": "cff9bf40b09c5fa52f699b5464b166f7eff043df92eee586d99b91922001072b",
+        "sss+ncb+ncbla": "b65b68cc2e5bc09a6a38e74ba46400ae5907553999573a999dfb9da5282a41e7",
+        "sss+ncb+ncbla+ccr": "822d00b1e2cfb4d75a550676a09e12f48c4830c937d690db5b230afdbfb92cd3",
+        "sss+ncb+ncbla+cdb": "bbca75cece048372847b672e24465b7824021f628c0812ee04fc3f9231e82257",
+        "sss+ncb+ncbla+cdb+ccr": "d128933ad23a5d7aaeae6706867e20f0a5af80d6f288d29d2f834942113eb8ae",
+        "sss order=5,3": "0b8ccab8cba2ceebcb78ec64448dd586fcc5cebdf9535e5505f3b85258feebb9",
+    },
+    "rand24_seed2": {
+        "sss": "e9dde9097798e9abee175939c3ec0a8c0743980c8ec9a77f4bea480917586009",
+        "sss+ccr": "3120168be2431f749ee55efb9d73163cf602858182d19af988b71c58b0914986",
+        "sss+cdb": "432b5021b69496ce9524c2d77dbd779d16c5822d7dcc6ef796a8ca15e616e4c6",
+        "sss+cdb+ccr": "c745b95aaae1c3e6621b2186bcc2481a80a06a06bbf3a059dbcda75ea306eb36",
+        "sss+ncb": "715fb7ac176c3cab5c1ee96deab284769d43a30fec01e9e49415360cd52a5cfa",
+        "sss+ncb+ccr": "5a5d6b2dcaccf295bad7a1bfed87dc3fa6610409ba7c6431ce4568a0374fb9c3",
+        "sss+ncb+cdb": "8c26bde943b5f2e3e066fe6cb37108bed26d7a6db4893f1cb930015ccc4010d4",
+        "sss+ncb+cdb+ccr": "db34db2a68db248790780b2c71ad98b11fd96e39535bf26b0dc5bf5bde9fe7bd",
+        "sss+ncb+ncbla": "dbaed8cd4cf863c79bcc1f8fb38f09b4de8cc9171d9fb511717dd94a09d8f598",
+        "sss+ncb+ncbla+ccr": "99155efb628babe2611fc6937284d90629d850312a0fb86b752edb4bf9f65e76",
+        "sss+ncb+ncbla+cdb": "7b623f62562b2e5b5ebcc1fd1bf1213194981af9cf4d5a8213521f2b5747f1b7",
+        "sss+ncb+ncbla+cdb+ccr": "21184ee9822215afe14f6e0d8d4e1273be78c51b727208cdb765ad93d8ce5e9b",
+        "sss order=5,3": "7f0adb5273db34a92c7c2520122cbbf9dd33db1adc5946c02fa3af9ffe678896",
+    },
+    "rand28_seed3": {
+        "sss": "0e47d88744094b16f1ca612f2290856263bdf6942b74e1361b27acfd37dca375",
+        "sss+ccr": "0aabcf3ea29a95c5f45c7fc9693445b20d1d55a5e70c5d5013e409ab1014b1b4",
+        "sss+cdb": "7de5354a6c0382fde37752f1e49c28018027ba4b24e443d0c37a7156f15a0393",
+        "sss+cdb+ccr": "c128e9e63f7ae220889e162cf9c88a88da9130982d41b73e6884bc8010fa417c",
+        "sss+ncb": "142e3b49216cc99eba98188232200b08f12a1e94dbb497fd94e51ca988a86a94",
+        "sss+ncb+ccr": "5397a28c971f1b9d2810849da8d9c0b3e7a21e8bce2d9f7f8980f8afbbd0452f",
+        "sss+ncb+cdb": "d96b4d516bce508a157d3429bf489f20ecc0917df17afface2cbd088cf39718c",
+        "sss+ncb+cdb+ccr": "5fbc474b5bcb22f934f6801ce9f189d1c9a82b4bfbb2b58836475ca726a1ff93",
+        "sss+ncb+ncbla": "4963e365230db2a036e9f7ed292053153ec5922bde3e8375921a87cf9f9d8ffe",
+        "sss+ncb+ncbla+ccr": "e0afca09d34c6479880c79d85669519dfc4ed6b0903bd0628128161323d350a4",
+        "sss+ncb+ncbla+cdb": "676fc6daf6fd440811d2788ef33fcbc354ada30b4dccb5702335c9d3798f4ce8",
+        "sss+ncb+ncbla+cdb+ccr": "f444021df67d0652594058fdfe51deda0f1b5d534940305267cec6a125582682",
+        "sss order=5,3": "e508a59467b8348a05a5a7cd9b332b12be0ce2866e4e7744727752475f355644",
     },
 }
 
