@@ -38,7 +38,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .cnf import Clause, Formula, Literal, Variable
 from .proofs import RefutationGraph, _derive, _resolvent_set, check_refutation, init_refutation
@@ -294,6 +294,7 @@ class Solver:
         # Proof bookkeeping (sss only): input clause k is proof node k, and
         # recorded_node maps a recorded clause's id to its derivation's node.
         self.graph = init_refutation(self.formula) if self.config.mode == MODE_SSS else None
+        self.num_inputs = len(self.clause_lits)  # nodes 1..num_inputs are sources
         self.recorded_node: Dict[int, int] = {}
         self.recorded_nodes: set = set()
         # Resolvents credited as pruned, and those already consumed as a
@@ -328,11 +329,11 @@ class Solver:
 
     # -- assignment machinery --------------------------------------------
 
-    def _push(self, var: Variable, value: bool) -> None:
+    def _push(self, var: Variable, value: bool, flipped: int = 0) -> None:
         """Assign unassigned ``var`` at a new level."""
         d = self.d = self.d + 1
         self.trail_var[d] = var
-        self.trail_flipped[d] = 0
+        self.trail_flipped[d] = flipped
         self.val[var] = value
         self.level_of[var] = d
         lit = var if value else -var
@@ -420,6 +421,17 @@ class Solver:
         self.num_sat += newly_sat
         self.val[var] = lit > 0
         self.trail_flipped[d] = 1
+
+    def _flip(self, var: Variable, value: bool, level: int) -> None:
+        """Set ``var`` to ``value`` as the flipped assignment of ``level``:
+        in place when ``level`` is the current level, which holds ``var``
+        the other way; pushed, already flipped, when it is the next level.
+        A push leaves the state that deciding the other value and flipping
+        it would leave, in one pass over the occurrence lists."""
+        if level > self.d:
+            self._push(var, value, 1)
+        else:
+            self._flip_top()
         if self.config.debug_checks:
             self._check_counts((*self.occ[var], *self.occ[-var]))
 
@@ -455,35 +467,40 @@ class Solver:
                 return (abs(lit), lit < 0)
         raise RuntimeError("unit-open clause has no unassigned literal")
 
-    def _choose_new_literal(self) -> Tuple[Variable, bool, bool]:
-        if self.config.bcp:
-            pick = self._bcp_pick()
-            if pick is not None:
-                return (pick[0], pick[1], True)
+    def _choose_free(self) -> Tuple[Variable, bool]:
         for v in self.config.order:
             if self.val[v] is None:
-                return (v, False, False)
+                return (v, False)
         if self._rng is not None:
             unassigned = [v for v in range(1, self.n + 1) if self.val[v] is None]
             var = self._rng.choice(unassigned)
-            return (var, self._rng.random() < 0.5, False)
+            return (var, self._rng.random() < 0.5)
         for v in range(self.low, self.n + 1):
             if self.val[v] is None:
                 self.low = v
-                return (v, False, False)
+                return (v, False)
         raise RuntimeError("no unassigned variable to decide")
 
     # -- mode drivers -----------------------------------------------------
 
-    def _decide(self) -> tuple:
-        var, value, via_bcp = self._choose_new_literal()
-        self._push(var, value)
-        lit = var if value else -var
+    def _decide(self) -> Tuple[type, Variable, bool, int]:
+        """The next decision as (event class, variable, value, unit clause
+        id).  A bcp decision falsifies the unassigned literal of the
+        lowest-id unit-open clause, and the driver follows it with that
+        clause as the conflict and the variable's flip, at the next level.
+        It assigns nothing: nothing was falsified before it and that clause
+        is the lowest-id one it would falsify, so the decision and the flip
+        together are one push of the unit literal (``_flip``).  Any other
+        decision is pushed, with unit clause id 0."""
         self.stats.decisions += 1
-        if via_bcp:
-            self.stats.bcp_implications += 1
-            return (BcpDecide, lit)
-        return (Decide, lit)
+        if self.config.bcp:
+            pick = self._bcp_pick()
+            if pick is not None:  # the unit clause is the heap's top
+                self.stats.bcp_implications += 1
+                return (BcpDecide, *pick, self.unit_heap[0] + 1)
+        var, value = self._choose_free()
+        self._push(var, value)
+        return (Decide, var, value, 0)
 
     def _run_chronological(self) -> Iterator[tuple]:
         """tae and dll_strict: decide, and while a clause is falsified,
@@ -491,14 +508,22 @@ class Solver:
         above it.  dll_strict tests the clauses after every decision, tae
         only at total assignments (d == n), where every clause is either
         satisfied or falsified, so the SAT test and the conflict test
-        agree."""
+        agree.  A bcp decision conflicts on its unit clause at once, and the
+        level it opens is the deepest unflipped one."""
         leaves_only = self.config.mode == MODE_TAE
         total = len(self.clause_lits)
         while True:
             if self.num_sat == total and (not leaves_only or self.d == self.n):
                 yield self._finish_sat()
                 return
-            yield self._decide()
+            kind, var, value, unit = self._decide()
+            yield (kind, var if value else -var)
+            if unit:
+                yield (ConflictFound, unit)
+                self.stats.conflicts += 1
+                self._flip(var, not value, self.d + 1)
+                self.stats.flips += 1
+                yield (Flip, self.d)
             while self.falsified and (not leaves_only or self.d == self.n):
                 yield (ConflictFound, min(self.falsified))
                 self.stats.conflicts += 1
@@ -508,7 +533,8 @@ class Solver:
                 if self.d == 0:
                     yield self._finish_unsat(None)
                     return
-                self._flip_top()
+                var = self.trail_var[self.d]
+                self._flip(var, not self.val[var], self.d)
                 self.stats.flips += 1
                 yield (Flip, self.d)
 
@@ -520,33 +546,39 @@ class Solver:
                 # falsified clause starts the analysis loop): all satisfied.
                 yield self._finish_sat()
                 return
-            yield self._decide()
-            if self.num_sat == len(self.clause_lits):
-                yield self._finish_sat()
-                return
-            if not self.falsified:
-                continue
+            kind, var, value, clause_id = self._decide()
+            yield (kind, var if value else -var)
+            top = self.d + 1  # the level of the flip, a bcp decision's not pushed yet
+            if not clause_id:
+                if self.num_sat == len(self.clause_lits):
+                    yield self._finish_sat()
+                    return
+                if not self.falsified:
+                    continue
+                clause_id, top = min(self.falsified), self.d
+            value = not value  # the flip's
             # conflict-analysis loop: pin the blocking clause (the lowest
-            # falsified one, later the clause _backtrack returns) as the
-            # parent and flip; search resumes once a flip falsifies nothing.
-            clause_id = min(self.falsified)
+            # falsified one or the bcp decision's unit clause, later the
+            # clause _backtrack returns) as the parent and flip; search
+            # resumes once a flip falsifies nothing.
             parent_node = self.recorded_node.get(clause_id, clause_id)
             parent_lits = self.clause_lits[clause_id - 1]
             while True:
                 yield (ConflictFound, clause_id)
                 self.stats.conflicts += 1
+                d = top
                 if cfg.ncb:
-                    move = self._ncb_target(parent_lits)
+                    move = self._ncb_target(parent_lits, var, top)
                     if move is not None:
                         yield (NcbJump, *move)
-                d = self.d
+                        d = move[1]
                 if cfg.debug_checks and self.trail_parent[d] not in (0, parent_node):
                     raise InvariantViolation(
                         "level %d parent pre-set to node %d but pinned to %d"
                         % (d, self.trail_parent[d], parent_node)
                     )
+                self._flip(var, value, d)
                 self.trail_parent[d], self.parent_lits[d] = parent_node, parent_lits
-                self._flip_top()
                 self.stats.flips += 1
                 yield (Flip, d)
                 if cfg.debug_checks:
@@ -560,6 +592,9 @@ class Solver:
                 if self.d == 0:
                     yield self._finish_unsat(parent_node)
                     return
+                top = self.d
+                var = self.trail_var[top]
+                value = not self.val[var]
 
     def _backtrack(self, np_clause_id: int):
         """From instance clause ``np_clause_id``, which a flip falsified,
@@ -591,7 +626,7 @@ class Solver:
             if flipped and in_np:
                 left, left_lits = self.trail_parent[d], self.parent_lits[d]  # it holds -lit
                 plus, minus = (left_lits, np_lits) if lit < 0 else (np_lits, left_lits)
-                lits = tuple(_resolvent_set(plus, minus, var))
+                lits = _resolvent_set(plus, minus, var)
                 new_id = self.graph.add_resolvent(left, np_node, var, lits)
                 if cfg.debug_checks:
                     self._check_resolution(new_id, left, np_node, var, (left_lits, np_lits), lits)
@@ -599,7 +634,8 @@ class Solver:
                 np_node, np_lits, np_clause_id = new_id, lits, None
                 yield (BacktrackResolve, new_id)
             elif flipped:
-                self.stats.pruned_resolution += self._abandon(self.trail_parent[d])
+                if self.trail_parent[d] > self.num_inputs:  # an input clause credits nothing
+                    self.stats.pruned_resolution += self._abandon(self.trail_parent[d])
                 yield (BacktrackSkipRight, d)
             else:
                 if cfg.debug_checks and self.trail_parent[d]:
@@ -611,6 +647,7 @@ class Solver:
                 if sub is not None:
                     self.stats.cdb_substitutions += 1
                     yield (CdbSubstitute, *sub)
+        np_lits = tuple(np_lits)  # as a parent it stays pinned: a tuple is smaller than a set
         if self.d > 0:
             if cfg.debug_checks and self.falsified:
                 raise InvariantViolation(
@@ -624,12 +661,16 @@ class Solver:
 
     # -- feature hooks ----------------------------------------------------
 
-    def _ncb_target(self, parent_lits: Sequence[Literal]) -> Optional[Tuple[int, int]]:
-        """Re-seat the impending flip of the current level as low as its
-        parent clause allows: just above the deepest level its other
-        literals live on (optionally raised so that level becomes the next
-        unflipped one).  Pops everything in between; returns (from, to)
-        when a move happened.
+    def _ncb_target(
+        self, parent_lits: Sequence[Literal], var: Variable, top: int
+    ) -> Optional[Tuple[int, int]]:
+        """Re-seat the impending flip of ``var`` at level ``top`` (the
+        current level, or the next one for a bcp decision, which is not
+        pushed) as low as its parent clause allows: just above the deepest
+        level its other literals live on (optionally raised so that level
+        becomes the next unflipped one).  Pops every level from the seat up;
+        returns (top, seat) when a move happened, and the driver then
+        pushes the flip at the seat.
 
         The seat is always an unflipped level.  Seating on a flipped level
         would discard that flip only to restore a flipped level at the same
@@ -638,8 +679,6 @@ class Solver:
         with every flip) and lets runs cycle; seating on an unflipped level
         turns that bit on, which outweighs every bit lost above it.
         """
-        d = self.d
-        var = self.trail_var[d]
         g = 0
         for q in parent_lits:
             qv = abs(q)
@@ -650,21 +689,21 @@ class Solver:
                 g = lvl
         if self.config.ncb_left_adjust:
             adj = g if g >= 1 else 1
-            while adj < d and self.trail_flipped[adj]:
+            while adj < top and self.trail_flipped[adj]:
                 adj += 1
-            g = adj if adj < d else d - 1
+            g = adj if adj < top else top - 1
         seat = g + 1
-        while seat < d and self.trail_flipped[seat]:
+        while seat < top and self.trail_flipped[seat]:
             seat += 1
-        if seat >= d:
+        if seat >= top:
             return None
-        self.stats.pruned_ncb += self._reseat(seat, d)
+        self.stats.pruned_ncb += self._reseat(seat, top)
         self.stats.ncb_jumps += 1
-        self.stats.ncb_levels_skipped += d - seat
-        return (d, seat)
+        self.stats.ncb_levels_skipped += top - seat
+        return (top, seat)
 
     def _cdb_try(
-        self, np_node: int, np_lits: Tuple[Literal, ...]
+        self, np_node: int, np_lits: Collection[Literal]
     ) -> Optional[Tuple[int, Variable]]:
         """After a pop: when the current level is flipped, its flip literal
         sits in the backtracking clause, and every other literal of that
@@ -690,24 +729,22 @@ class Solver:
                 continue
             if self.level_of[abs(q)] >= g:
                 return None
+        value = self.val[var]
         self.stats.pruned_uip += self._reseat(g, d + 1)
+        self._push(var, value)
         self.trail_parent[g] = np_node
         return (g, var)
 
     def _reseat(self, seat: int, top: int) -> int:
-        """Move the current level's variable, with its value, down to level
-        ``seat``: credit the parent derivations of levels seat..top-1 as
-        pruned, pop every level from ``seat`` up, and push the variable
-        unflipped at ``seat``.  Returns the number of resolvents credited."""
-        var = self.trail_var[self.d]
-        value = self.val[var]
+        """Clear the way to move a variable down to level ``seat``: credit
+        the parent derivations of levels seat..top-1 as pruned and pop every
+        level from ``seat`` up.  Returns the number of resolvents credited."""
         pruned = 0
         for lvl in range(seat, top):
             if self.trail_parent[lvl]:
                 pruned += self._abandon(self.trail_parent[lvl])
         while self.d >= seat:
             self._pop()
-        self._push(var, value)
         return pruned
 
     def _ccr_record(self, np_node: int, np_lits: Tuple[Literal, ...]) -> int:
@@ -834,7 +871,7 @@ class Solver:
         self._check_falsified_below(parent_lits, satisfied_lit, level, "parent clause")
 
     def _check_falsified_below(
-        self, lits: Sequence[Literal], kept: Literal, level: int, what: str
+        self, lits: Collection[Literal], kept: Literal, level: int, what: str
     ) -> None:
         """Every literal of ``lits`` but ``kept`` is false, set below ``level``."""
         for q in lits:
@@ -863,7 +900,7 @@ class Solver:
             )
 
     def _check_backtracking_invariant(
-        self, np_node: int, np_lits: Sequence[Literal], flip_lit: Literal
+        self, np_node: int, np_lits: Collection[Literal], flip_lit: Literal
     ) -> None:
         """At each backtracking iteration, the backtracking clause minus the
         current level's flip literal is falsified strictly below the current
@@ -882,14 +919,14 @@ class Solver:
             )
 
     def _check_resolution(
-        self, nid: int, left: int, right: int, pivot: Variable, premise_lits: tuple, lits: tuple
+        self, nid: int, left: int, right: int, pivot: Variable, premise_lits: tuple, lits: set
     ) -> None:
         """Resolvent ``nid``, filed unchecked, obeys the rules of ``_derive``
         and holds ``lits``.  A recorded-clause node stays live in the
         instance and may be consumed repeatedly (its derivation becomes
         shared); any other resolvent is consumed at most once, and marked."""
         try:
-            if _derive(nid, left, right, pivot, *premise_lits) != set(lits):
+            if _derive(nid, left, right, pivot, *premise_lits) != lits:
                 raise ValueError("literals differ from the premises' resolvent")
         except ValueError as exc:
             raise InvariantViolation("resolvent %d: %s" % (nid, exc)) from None

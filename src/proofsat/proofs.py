@@ -147,6 +147,13 @@ class RefutationGraph:
     to ``init_refutation``: such a source is filed by a flag and reads its
     literals from the clause it mirrors.  ``nodes`` is a mapping view of
     the filed nodes.
+
+    ``_derived`` marks a graph whose every resolvent row holds the literals
+    ``_derive`` computed from premises that are still filed: ``add_node``
+    and ``parse_trace`` keep it, and every other way to file or unfile a
+    resolvent, or to rewrite a row, clears it for good, as does extracting
+    a sub-graph.  ``check_refutation`` re-derives no resolvent of a marked
+    graph.
     """
 
     def __init__(self) -> None:
@@ -163,6 +170,8 @@ class RefutationGraph:
         self._sources: Sequence[Clause] = ()
         self._reserved = 0  # ids 1.._reserved: _sources' clauses, filed on first use
         self._src_filed = bytearray(1)  # byte k is 1 while source k is filed
+        self._derived = True
+        self._unused = 0  # arena ints that rewrites left behind
 
     def _columns(self) -> Tuple[array, ...]:
         return self._ids, self._left, self._right, self._pivot, self._start, self._len
@@ -170,16 +179,10 @@ class RefutationGraph:
     # -- rows -------------------------------------------------------------
 
     def _row(self, nid: int) -> int:
-        """The row of filed node ``nid``, or -1; a reserved source has none.
-        The last row is tried first: the solver reads back the resolvent it
-        has just filed."""
+        """The row of filed node ``nid``, or -1; a reserved source has none."""
         ids = self._ids
-        r = len(ids) - 1
-        if r < 0 or ids[r] != nid:
-            r = bisect_left(ids, nid)
-            if r == len(ids) or ids[r] != nid:
-                return -1
-        return r if self._live[r] else -1
+        r = bisect_left(ids, nid)
+        return r if r < len(ids) and ids[r] == nid and self._live[r] else -1
 
     def _records(self) -> Iterator[Tuple[int, int, int, int, int, Sequence[Literal]]]:
         """(row, id, left, right, pivot, literals) of every filed node, by
@@ -213,32 +216,46 @@ class RefutationGraph:
         are stored in the order given, and ``nid``, ``left`` and ``right``
         lie in the columns' range.  Raises ValueError, storing nothing,
         when a literal or the pivot does not, or when ``nid`` is below such
-        an id and not filed."""
-        if pivot > _MAX or (lits and (max(lits) > _MAX or min(lits) < -_MAX)):
-            raise ValueError("node %d holds a value beyond +-%d" % (nid, _MAX))
+        an id and not filed.
+
+        A rewrite appends its literals and leaves the old run unused; once
+        unused runs make up half the arena, the columns are rebuilt from
+        the live rows.  (Writing over the old run would change the literals
+        of a sub-graph that shares the arena.)"""
         arena = self._lits
-        if nid < self._next_id:
-            r = self._row(nid)
-            if r < 0:
-                raise ValueError(
-                    "node id %d must exceed %d, the highest id filed before it"
-                    % (nid, self._next_id - 1)
-                )
-            self._left[r], self._right[r], self._pivot[r] = left, right, pivot
-            self._start[r], self._len[r] = len(arena), len(lits)
+        end = len(arena)
+        try:
+            if pivot > _MAX or _NONE in lits:  # the arena takes -2**31 itself
+                raise OverflowError
             arena.extend(lits)
+        except OverflowError:
+            del arena[end:]
+            raise ValueError("node %d holds a value beyond +-%d" % (nid, _MAX)) from None
+        if nid >= self._next_id:
+            self._next_id = nid + 1
+            self._ids.append(nid)
+            self._left.append(left)
+            self._right.append(right)
+            self._pivot.append(pivot)
+            self._start.append(end)
+            self._len.append(len(arena) - end)
+            self._live.append(1)
             return
-        self._next_id = nid + 1
-        self._ids.append(nid)
-        self._left.append(left)
-        self._right.append(right)
-        self._pivot.append(pivot)
-        self._start.append(len(arena))
-        self._len.append(len(lits))
-        self._live.append(1)
-        arena.extend(lits)
+        r = self._row(nid)
+        if r < 0:
+            del arena[end:]
+            raise ValueError(
+                "node id %d must exceed %d, the highest id filed before it"
+                % (nid, self._next_id - 1)
+            )
+        self._unused += self._len[r]
+        self._left[r], self._right[r], self._pivot[r] = left, right, pivot
+        self._start[r], self._len[r] = end, len(arena) - end
+        if 2 * self._unused > len(arena):
+            self._keep_rows(self, self._live, pack=True)
 
     def _unfile_row(self, r: int) -> None:
+        self._derived = False
         self._live[r] = 0
         self._dead += 1
         if self._dead >= _COMPACT_MIN and 2 * self._dead > len(self._live):
@@ -262,6 +279,7 @@ class RefutationGraph:
             del starts[-1]
         self._ids, self._left, self._right, self._pivot = ids, left, right, pivot
         self._start, self._len, self._lits = starts, lens, arena
+        self._unused = 0
         self._live = bytearray(b"\x01") * len(ids)
         self._dead = 0
 
@@ -308,7 +326,10 @@ class RefutationGraph:
         except TypeError:  # an id that is not an int names no node
             left = right = None
         lits = _derive(nid, left_id, right_id, pivot_var, left, right)
-        return self.add_resolvent(left_id, right_id, pivot_var, lits, nid)
+        mark = self._derived  # derived just now, so filing it keeps the mark
+        self.add_resolvent(left_id, right_id, pivot_var, lits, nid)
+        self._derived = mark
+        return nid
 
     def add_resolvent(
         self, left_id: int, right_id: int, pivot_var: Variable, lits: Collection[Literal],
@@ -318,8 +339,9 @@ class RefutationGraph:
         literals ``lits`` itself, as a solver holding both premises' does:
         the rules of ``_derive`` are not checked, only the id and the
         columns' range.  Returns the id."""
-        nid = self._claim_id(node_id)
+        nid = self._next_id if node_id is None else self._claim_id(node_id)
         self._file(nid, left_id, right_id, pivot_var, lits)
+        self._derived = False
         if left_id <= self._reserved:  # file the step's new sources
             self._src_filed[left_id] = 1
         if right_id <= self._reserved:
@@ -378,27 +400,48 @@ class RefutationGraph:
 
     def extract_derivation(self, node_id: int) -> "RefutationGraph":
         """Subgraph of everything reachable from node_id, ids preserved.
-        It shares this graph's reserved sources.  A malformed graph can
-        reference premises that were never added; the checker reports
-        those, so the walk just skips them."""
+        It shares this graph's reserved sources and literal arena.  A
+        malformed graph can reference premises that were never added; the
+        checker reports those, so the walk just skips them.
+
+        The walk is a sweep down the rows, which are in id order, holding
+        the ids still wanted: a premise precedes the node using it, so its
+        row comes later in the sweep.  A forged premise that does not
+        precede its node starts another sweep from the top."""
         self.node(node_id)
         sub = RefutationGraph()
         sub._sources, sub._reserved = self._sources, self._reserved
-        sub._src_filed = bytearray(len(self._src_filed))
-        rows = bytearray(len(self._live))
-        stack = [node_id]
-        while stack:
-            nid = stack.pop()
-            if 0 < nid <= self._reserved:
-                sub._src_filed[nid] = self._src_filed[nid]
-                continue
-            r = self._row(nid)
-            if r < 0 or rows[r]:
-                continue
-            rows[r] = 1
-            if self._left[r] != _NONE:
-                stack += (self._left[r], self._right[r])
+        filed = self._src_filed
+        sub._src_filed = src = bytearray(len(filed))
+        reserved, ids, lefts, rights, live = (
+            self._reserved, self._ids, self._left, self._right, self._live
+        )
+        rows = bytearray(len(live))
+        wanted = {node_id}
+        sweep = len(ids)
+        if 0 < node_id <= reserved:
+            src[node_id], sweep = 1, 0
+        while sweep:
+            top, sweep = sweep, 0
+            for r in range(top - 1, -1, -1):
+                nid = ids[r]
+                if nid not in wanted:
+                    continue
+                wanted.remove(nid)
+                if rows[r] or not live[r]:
+                    continue
+                rows[r] = 1
+                if lefts[r] == _NONE:
+                    continue
+                for premise in (lefts[r], rights[r]):
+                    if 0 < premise <= reserved:
+                        src[premise] = filed[premise]
+                    else:
+                        wanted.add(premise)
+                        if premise >= nid:
+                            sweep = len(ids)
         sub._keep_rows(self, rows, pack=False)
+        sub._derived = False
         sub._next_id = max(sub._ids[-1] if sub._ids else 0, sub._reserved) + 1
         return sub
 
@@ -432,6 +475,7 @@ class NodeView(MutableMapping):
 
     def __setitem__(self, nid: int, node: ProofNode) -> None:
         graph = self._graph
+        graph._derived = False
         if not (isinstance(nid, int) and 0 < nid <= _MAX):
             raise ValueError("node id must be in 1..%d, got %r" % (_MAX, nid))
         if nid <= graph._reserved:
@@ -451,6 +495,7 @@ class NodeView(MutableMapping):
             raise KeyError(nid)
         if r < 0:
             graph._src_filed[nid] = 0
+            graph._derived = False
         else:
             graph._unfile_row(r)
 
@@ -484,7 +529,9 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
     valid: every source obeys the rules of ``_source`` and every resolvent
     those of ``_derive``, with its stored literals equal to the recomputed
     resolvent; each broken rule is recorded as ``node N: <message>``, in
-    the wording ``parse_trace`` raises.  complete: the empty clause is
+    the wording ``parse_trace`` raises.  A graph still marked ``_derived``
+    had every resolvent derived by those rules as it was filed, so only its
+    sources are checked.  complete: the empty clause is
     present.  tree_like / regular are judged within the derivation of the
     sink -- the lowest empty-clause node when complete, else the highest-id
     node.  size counts resolvent nodes in the whole graph.
@@ -493,7 +540,8 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
     size = 0
     empty_id: Optional[int] = None
     last: Optional[int] = None
-    locate, lefts = graph._locate, graph._left
+    locate, lefts, ids, reserved = graph._locate, graph._left, graph._ids, graph._reserved
+    trusted = graph._derived  # then no row is dead, and premises precede
     # The rows of the premises of each resolvent row, or -1; a reserved
     # source premise reads -1.
     left_rows = array("i", [-1]) * len(lefts)
@@ -507,6 +555,10 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
                 _source(formula, nid, set(lits))
                 continue
             size += 1
+            if trusted:
+                left_rows[r] = bisect_left(ids, left, 0, r) if left > reserved else -1
+                right_rows[r] = bisect_left(ids, right, 0, r) if right > reserved else -1
+                continue
             (left_rows[r], left_lits), (right_rows[r], right_lits) = locate(left), locate(right)
             pivot = None if pivot == _NONE else pivot
             derived = _derive(nid, left, right, pivot, left_lits, right_lits)
@@ -571,7 +623,8 @@ def _trace_blocks(graph: RefutationGraph) -> Iterator[str]:
     def lines() -> Iterator[str]:
         yield "p trace\n"
         for _, nid, left, right, pivot, lits in graph._records():
-            text = " ".join(map(str, sorted(lits, key=abs)))
+            # A source row is filed in Clause order already.
+            text = " ".join(map(str, lits if left == _NONE else sorted(lits, key=abs)))
             if left == _NONE:
                 head = "o %d" % nid
             else:
@@ -593,21 +646,36 @@ def parse_trace(text: str, formula: Formula) -> RefutationGraph:
     kind, a zero literal, an 'o' record that breaks a rule of ``_source``,
     reuses an id or comes below an id already filed, an 'r' record that
     ``add_node`` rejects, a value the graph's columns cannot hold, and an
-    'r' record whose literals differ from the recomputed resolvent.
+    'r' record whose literals differ from the recomputed resolvent.  Each
+    'r' record is derived once, as ``add_node`` would, and the graph stays
+    marked ``_derived``.
     """
     graph = RefutationGraph()
+    claim, locate, file = graph._claim_id, graph._locate, graph._file
+    clauses = formula.clauses
+    filed = bytearray(len(clauses) + 1)  # 1 for each clause an 'o' record filed
+    last_id, last_lits = None, None  # the latest resolvent, often the next one's premise
+
+    def premise(nid: int) -> Optional[Collection[Literal]]:
+        """Literals of filed node ``nid``, or None: a source's are its
+        clause's, and the latest resolvent's are those just derived."""
+        if nid == last_id:
+            return last_lits
+        if 0 < nid < len(filed) and filed[nid]:
+            return clauses[nid - 1]._lits
+        return locate(nid)[1]
+
     header_seen = False
     for line_no, raw in enumerate(_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "c":
             continue
         try:
             if not header_seen:
-                if line != "p trace":
+                if raw.strip() != "p trace":
                     raise ValueError("expected 'p trace' header")
                 header_seen = True
                 continue
-            tokens = line.split()
             kind = tokens[0]
             if kind not in ("o", "r"):
                 raise ValueError("unknown record %r" % kind)
@@ -631,12 +699,15 @@ def parse_trace(text: str, formula: Formula) -> RefutationGraph:
                 raise ValueError("literal must be a nonzero integer, got 0")
             if kind == "o":
                 graph.add_source(_source(formula, numbers[0], lits), numbers[0])
-            else:
-                nid, pivot_var, left_id, right_id = numbers[:4]
-                arena_end = len(graph._lits)  # add_node appends the resolvent's literals
-                graph.add_node(left_id, right_id, pivot_var, node_id=nid)
-                if not _same_literals(lits, graph._lits[arena_end:]):
-                    raise ValueError("literals differ from recomputed resolvent")
+                filed[numbers[0]] = 1
+                continue
+            nid, pivot_var, left_id, right_id = numbers[:4]
+            claim(nid)
+            derived = _derive(nid, left_id, right_id, pivot_var, premise(left_id), premise(right_id))
+            file(nid, left_id, right_id, pivot_var, derived)
+            if lits != derived:
+                raise ValueError("literals differ from recomputed resolvent")
+            last_id, last_lits = nid, derived
         except ValueError as exc:
             raise ValueError("line %d: %s" % (line_no, exc)) from None
     if not header_seen:
@@ -649,8 +720,9 @@ def _dot_blocks(graph: RefutationGraph) -> Iterator[str]:
         locate = graph._locate
         yield "digraph refutation {\n  rankdir=BT;\n"
         for _, nid, left, _, _, lits in graph._records():
-            label = " ".join(map(str, sorted(lits, key=abs))) or "empty"
-            shape = "box" if left == _NONE else "ellipse"
+            source = left == _NONE  # a source row is filed in Clause order already
+            label = " ".join(map(str, lits if source else sorted(lits, key=abs))) or "empty"
+            shape = "box" if source else "ellipse"
             yield '  n%d [label="%s", shape=%s];\n' % (nid, label, shape)
         for _, nid, left, right, pivot, _ in graph._records():
             if left == _NONE:

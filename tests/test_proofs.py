@@ -554,6 +554,20 @@ class TestNodeStore:
         assert g.add_node(2, 3, 3) == 5  # an unfiled source is filed again on use
         assert g.node_ids() == [2, 3, 5]
 
+    def test_rewrites_keep_the_arena_bounded(self):
+        # 1,000 rewrites of node 5, growing and shrinking: the literals the
+        # graph holds stay within twice the 6 its live rows need at most,
+        # and a sub-graph extracted before them still reads its own.
+        f = make_base_formula()
+        g = make_shared_node_refutation(f)
+        sub = g.extract_derivation(8)
+        forged = [ProofNode(5, Clause(lits), 2, 3, 3) for lits in ([1, 3], [-2], [1, -2, 3, 4])]
+        for i in range(1000):
+            g.nodes[5] = forged[i % 3]
+            assert len(g._lits) <= 12
+        assert g.nodes[5] == forged[999 % 3] and g.literals(6) == (1,) and g.literals(8) == ()
+        assert sub.nodes == make_shared_node_refutation(f).nodes
+
     def test_pruned_nodes_are_compacted_away(self):
         # 300 copies of (-2), most pruned: the rows left follow the nodes
         # kept, and every kept node reads and resolves as before.
@@ -700,6 +714,47 @@ def test_hostile_literals_are_rejected():
     assert g.node_ids() == [] and len(g._lits) == 0
     with pytest.raises(ValueError, match="node 5 holds a value beyond"):
         RefutationGraph().nodes[5] = ProofNode(5, Clause([big]))
+
+
+class TestDerivedMark:
+    """``check_refutation`` re-derives no resolvent of a graph built only by
+    ``add_node`` or ``parse_trace``; every other write must make it re-derive
+    them all, or a forged step would pass."""
+
+    def test_forged_node_after_parse_is_reported(self):
+        f = make_base_formula()
+        g = parse_trace(SHARED_TRACE, f)
+        assert check_refutation(g, f).valid
+        g.nodes[6] = ProofNode(6, Clause([-1]), 1, 5, 2)
+        problems = check_refutation(g, f).problems
+        assert problems[0] == "node 6: literals differ from recomputed resolvent"
+
+    @pytest.mark.parametrize("unfile", ["prune", "del resolvent", "del source"])
+    def test_unfiled_premise_after_add_node_is_reported(self, unfile):
+        f = make_base_formula()
+        g = make_shared_node_refutation(f)
+        assert check_refutation(g, f).valid
+        if unfile == "prune":
+            assert g.prune(5) == (2, 3)
+        elif unfile == "del resolvent":
+            del g.nodes[5]
+        else:
+            del g.nodes[2]
+        user = 5 if unfile == "del source" else 6
+        assert "node %d: premise id not defined earlier" % user in check_refutation(g, f).problems
+
+    def test_wrong_literals_through_add_resolvent_are_reported(self):
+        # Filed unchecked, as the solver files its steps: the whole graph
+        # and a sub-graph extracted from it are both re-derived.
+        f = make_base_formula()
+        g = init_refutation(f)
+        g.add_resolvent(2, 3, 3, [-2])
+        g.add_resolvent(1, 5, 2, [1])
+        g.add_resolvent(4, 5, 2, [-1])
+        root = g.add_resolvent(6, 7, 1, [3])
+        message = "node 8: literals differ from recomputed resolvent"
+        assert check_refutation(g, f).problems == [message]
+        assert check_refutation(g.extract_derivation(root), f).problems == [message]
 
 
 class TestDotExport:
