@@ -339,7 +339,10 @@ class RefutationGraph:
         literals ``lits`` itself, as a solver holding both premises' does:
         the rules of ``_derive`` are not checked, only the id and the
         columns' range.  Returns the id."""
-        nid = self._next_id if node_id is None else self._claim_id(node_id)
+        if node_id is None and self._next_id <= _MAX:
+            nid = self._next_id  # above every id filed, so free
+        else:
+            nid = self._claim_id(node_id)
         self._file(nid, left_id, right_id, pivot_var, lits)
         self._derived = False
         if left_id <= self._reserved:  # file the step's new sources
@@ -402,44 +405,24 @@ class RefutationGraph:
         """Subgraph of everything reachable from node_id, ids preserved.
         It shares this graph's reserved sources and literal arena.  A
         malformed graph can reference premises that were never added; the
-        checker reports those, so the walk just skips them.
-
-        The walk is a sweep down the rows, which are in id order, holding
-        the ids still wanted: a premise precedes the node using it, so its
-        row comes later in the sweep.  A forged premise that does not
-        precede its node starts another sweep from the top."""
+        checker reports those, so the walk just skips them."""
         self.node(node_id)
         sub = RefutationGraph()
         sub._sources, sub._reserved = self._sources, self._reserved
-        filed = self._src_filed
-        sub._src_filed = src = bytearray(len(filed))
-        reserved, ids, lefts, rights, live = (
-            self._reserved, self._ids, self._left, self._right, self._live
-        )
-        rows = bytearray(len(live))
-        wanted = {node_id}
-        sweep = len(ids)
-        if 0 < node_id <= reserved:
-            src[node_id], sweep = 1, 0
-        while sweep:
-            top, sweep = sweep, 0
-            for r in range(top - 1, -1, -1):
-                nid = ids[r]
-                if nid not in wanted:
-                    continue
-                wanted.remove(nid)
-                if rows[r] or not live[r]:
-                    continue
-                rows[r] = 1
-                if lefts[r] == _NONE:
-                    continue
-                for premise in (lefts[r], rights[r]):
-                    if 0 < premise <= reserved:
-                        src[premise] = filed[premise]
-                    else:
-                        wanted.add(premise)
-                        if premise >= nid:
-                            sweep = len(ids)
+        sub._src_filed = bytearray(len(self._src_filed))
+        rows = bytearray(len(self._live))
+        stack = [node_id]
+        while stack:
+            nid = stack.pop()
+            if 0 < nid <= self._reserved:
+                sub._src_filed[nid] = self._src_filed[nid]
+                continue
+            r = self._row(nid)
+            if r < 0 or rows[r]:
+                continue
+            rows[r] = 1
+            if self._left[r] != _NONE:
+                stack += (self._left[r], self._right[r])
         sub._keep_rows(self, rows, pack=False)
         sub._derived = False
         sub._next_id = max(sub._ids[-1] if sub._ids else 0, sub._reserved) + 1
@@ -652,19 +635,6 @@ def parse_trace(text: str, formula: Formula) -> RefutationGraph:
     """
     graph = RefutationGraph()
     claim, locate, file = graph._claim_id, graph._locate, graph._file
-    clauses = formula.clauses
-    filed = bytearray(len(clauses) + 1)  # 1 for each clause an 'o' record filed
-    last_id, last_lits = None, None  # the latest resolvent, often the next one's premise
-
-    def premise(nid: int) -> Optional[Collection[Literal]]:
-        """Literals of filed node ``nid``, or None: a source's are its
-        clause's, and the latest resolvent's are those just derived."""
-        if nid == last_id:
-            return last_lits
-        if 0 < nid < len(filed) and filed[nid]:
-            return clauses[nid - 1]._lits
-        return locate(nid)[1]
-
     header_seen = False
     for line_no, raw in enumerate(_lines(text), start=1):
         tokens = raw.split()
@@ -699,15 +669,14 @@ def parse_trace(text: str, formula: Formula) -> RefutationGraph:
                 raise ValueError("literal must be a nonzero integer, got 0")
             if kind == "o":
                 graph.add_source(_source(formula, numbers[0], lits), numbers[0])
-                filed[numbers[0]] = 1
                 continue
             nid, pivot_var, left_id, right_id = numbers[:4]
             claim(nid)
-            derived = _derive(nid, left_id, right_id, pivot_var, premise(left_id), premise(right_id))
+            left, right = locate(left_id)[1], locate(right_id)[1]
+            derived = _derive(nid, left_id, right_id, pivot_var, left, right)
             file(nid, left_id, right_id, pivot_var, derived)
             if lits != derived:
                 raise ValueError("literals differ from recomputed resolvent")
-            last_id, last_lits = nid, derived
         except ValueError as exc:
             raise ValueError("line %d: %s" % (line_no, exc)) from None
     if not header_seen:

@@ -702,6 +702,21 @@ def test_hostile_ids_are_rejected_or_missing(huge):
     assert g.node_ids() == []
 
 
+def test_add_resolvent_rejects_the_id_past_the_columns():
+    # The next id after 2**31 - 1 is checked on add_resolvent's default
+    # path too, and nothing of the step is stored.
+    f = make_base_formula()
+    g = init_refutation(f)
+    assert g.add_node(2, 3, 3, node_id=2**31 - 1) == 2**31 - 1
+    arena, rows = len(g._lits), len(g._ids)
+    with pytest.raises(ValueError, match="node id 2147483648 exceeds 2147483647"):
+        g.add_resolvent(2, 3, 3, [-2])
+    assert len(g._lits) == arena and len(g._ids) == rows
+    assert g.node_ids() == [2, 3, 2**31 - 1]
+    with pytest.raises(ValueError, match="node id 2147483648 exceeds 2147483647"):
+        g.add_node(2, 3, 3)
+
+
 def test_hostile_literals_are_rejected():
     big = 2**40
     f = Formula(big, [(big,), (-big,)])
