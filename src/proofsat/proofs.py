@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import MutableMapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count
 from operator import add
@@ -138,22 +138,21 @@ class RefutationGraph:
     order they were filed, a resolvent's as the kernel gave them; every
     read (``literals``, ``nodes``, the trace and DOT writers) gives them in
     ``Clause`` order.  Ids only grow, so rows are
-    appended in id order and a filed id finds its row by bisection.  A
-    new id must exceed every id ever given a row; filing a node that is
-    still filed rewrites its row in place.  Unfiling a row leaves it dead;
+    appended in id order and a filed id finds its row by bisection.  The
+    graph is append-only: a new id must exceed every id ever given a row,
+    and a filed row is never written again.  Unfiling a row leaves it dead;
     once dead rows outnumber live ones, the columns are rebuilt from the
     live rows, so the store follows the nodes filed, not every node ever
     added.  Ids 1..``_reserved`` belong to the clauses of the formula given
     to ``init_refutation``: such a source is filed by a flag and reads its
-    literals from the clause it mirrors.  ``nodes`` is a mapping view of
-    the filed nodes.
+    literals from the clause it mirrors.  ``nodes`` is a read-only mapping
+    view of the filed nodes.
 
     ``_derived`` marks a graph whose every resolvent row holds the literals
     ``_derive`` computed from premises that are still filed: ``add_node``
-    and ``parse_trace`` keep it, and every other way to file or unfile a
-    resolvent, or to rewrite a row, clears it for good, as does extracting
-    a sub-graph.  ``check_refutation`` re-derives no resolvent of a marked
-    graph.
+    and ``parse_trace`` keep it, and ``add_resolvent`` and ``prune`` clear
+    it for good, as does extracting a sub-graph.  ``check_refutation``
+    re-derives no resolvent of a marked graph.
     """
 
     def __init__(self) -> None:
@@ -171,7 +170,6 @@ class RefutationGraph:
         self._reserved = 0  # ids 1.._reserved: _sources' clauses, filed on first use
         self._src_filed = bytearray(1)  # byte k is 1 while source k is filed
         self._derived = True
-        self._unused = 0  # arena ints that rewrites left behind
 
     def _columns(self) -> Tuple[array, ...]:
         return self._ids, self._left, self._right, self._pivot, self._start, self._len
@@ -211,48 +209,32 @@ class RefutationGraph:
         return r, self._lits[start : start + self._len[r]]
 
     def _file(self, nid: int, left: int, right: int, pivot: int, lits: Collection[Literal]) -> None:
-        """File node ``nid``: append a row for an id above every id ever
-        given one, or rewrite the row of a filed node in place.  ``lits``
-        are stored in the order given, and ``nid``, ``left`` and ``right``
-        lie in the columns' range.  Raises ValueError, storing nothing,
-        when a literal or the pivot does not, or when ``nid`` is below such
-        an id and not filed.
-
-        A rewrite appends its literals and leaves the old run unused; once
-        unused runs make up half the arena, the columns are rebuilt from
-        the live rows.  (Writing over the old run would change the literals
-        of a sub-graph that shares the arena.)"""
+        """Append a row for node ``nid``, an id ``_claim_id`` has passed,
+        with ``lits`` in the order given.  A literal, premise or pivot the
+        columns cannot hold raises ValueError, and one that is not an int
+        TypeError; either way the columns drop what they took of the row."""
         arena = self._lits
         end = len(arena)
         try:
-            if pivot > _MAX or _NONE in lits:  # the arena takes -2**31 itself
+            if _NONE in lits:  # the arena takes -2**31 itself
                 raise OverflowError
             arena.extend(lits)
-        except OverflowError:
-            del arena[end:]
-            raise ValueError("node %d holds a value beyond +-%d" % (nid, _MAX)) from None
-        if nid >= self._next_id:
-            self._next_id = nid + 1
             self._ids.append(nid)
             self._left.append(left)
             self._right.append(right)
             self._pivot.append(pivot)
-            self._start.append(end)
-            self._len.append(len(arena) - end)
-            self._live.append(1)
-            return
-        r = self._row(nid)
-        if r < 0:
+        except (OverflowError, TypeError) as exc:
             del arena[end:]
-            raise ValueError(
-                "node id %d must exceed %d, the highest id filed before it"
-                % (nid, self._next_id - 1)
-            )
-        self._unused += self._len[r]
-        self._left[r], self._right[r], self._pivot[r] = left, right, pivot
-        self._start[r], self._len[r] = end, len(arena) - end
-        if 2 * self._unused > len(arena):
-            self._keep_rows(self, self._live, pack=True)
+            rows = len(self._start)  # appended to only after the four above
+            for column in self._columns()[:4]:
+                del column[rows:]
+            if isinstance(exc, TypeError):
+                raise
+            raise ValueError("node %d holds a value beyond +-%d" % (nid, _MAX)) from None
+        self._start.append(end)
+        self._len.append(len(arena) - end)
+        self._live.append(1)
+        self._next_id = nid + 1
 
     def _unfile_row(self, r: int) -> None:
         self._derived = False
@@ -279,19 +261,29 @@ class RefutationGraph:
             del starts[-1]
         self._ids, self._left, self._right, self._pivot = ids, left, right, pivot
         self._start, self._len, self._lits = starts, lens, arena
-        self._unused = 0
         self._live = bytearray(b"\x01") * len(ids)
         self._dead = 0
 
     # -- construction -----------------------------------------------------
 
-    def _claim_id(self, wanted: Optional[int]) -> int:
+    def _claim_id(self, wanted: Optional[int], derive_first: bool = False) -> int:
+        """``wanted`` (the next id for None) as a new node's id: the one place
+        that refuses an id below the mark, as already used or as below the
+        highest id filed.  ``derive_first`` leaves the second refusal to a
+        later claim, so ``add_node`` and ``parse_trace`` name a faulty
+        step's own rule first."""
         if wanted is None:
             wanted = self._next_id
         elif wanted < 1:
             raise ValueError("node id must be positive")
-        elif wanted <= self._reserved or (wanted < self._next_id and self._row(wanted) >= 0):
-            raise ValueError("node id %d already used" % wanted)
+        elif wanted < self._next_id:
+            if wanted <= self._reserved or self._row(wanted) >= 0:
+                raise ValueError("node id %d already used" % wanted)
+            if not derive_first:
+                raise ValueError(
+                    "node id %d must exceed %d, the highest id filed before it"
+                    % (wanted, self._next_id - 1)
+                )
         if wanted > _MAX:
             raise ValueError("node id %d exceeds %d" % (wanted, _MAX))
         return wanted
@@ -318,7 +310,7 @@ class RefutationGraph:
         ValueError if the id is taken or out of range, the step breaks a
         rule of ``_derive``, or the id is below an id already filed.
         """
-        nid = self._claim_id(node_id)
+        nid = self._claim_id(node_id, derive_first=True)
         reserved, sources, locate = self._reserved, self._sources, self._locate
         try:  # a reserved source is read even before it is filed
             left = sources[left_id - 1]._lits if 0 < left_id <= reserved else locate(left_id)[1]
@@ -327,7 +319,7 @@ class RefutationGraph:
             left = right = None
         lits = _derive(nid, left_id, right_id, pivot_var, left, right)
         mark = self._derived  # derived just now, so filing it keeps the mark
-        self.add_resolvent(left_id, right_id, pivot_var, lits, nid)
+        self.add_resolvent(left_id, right_id, pivot_var, lits, nid)  # claims nid in full
         self._derived = mark
         return nid
 
@@ -338,16 +330,18 @@ class RefutationGraph:
         """``add_node`` for a caller that has computed the resolvent's
         literals ``lits`` itself, as a solver holding both premises' does:
         the rules of ``_derive`` are not checked, only the id and the
-        columns' range.  Returns the id."""
+        columns' range, which excludes ``_NONE``.  Returns the id."""
         if node_id is None and self._next_id <= _MAX:
             nid = self._next_id  # above every id filed, so free
         else:
             nid = self._claim_id(node_id)
+        if left_id == _NONE or right_id == _NONE or pivot_var == _NONE:  # the columns' mark for None
+            raise ValueError("node %d holds a value beyond +-%d" % (nid, _MAX))
         self._file(nid, left_id, right_id, pivot_var, lits)
         self._derived = False
-        if left_id <= self._reserved:  # file the step's new sources
+        if self._reserved >= left_id > 0:  # file the step's new sources
             self._src_filed[left_id] = 1
-        if right_id <= self._reserved:
+        if self._reserved >= right_id > 0:
             self._src_filed[right_id] = 1
         return nid
 
@@ -429,15 +423,13 @@ class RefutationGraph:
         return sub
 
 
-class NodeView(MutableMapping):
+class NodeView(Mapping):
     """The filed nodes of a RefutationGraph by id, iterated in id order.
 
     Reading builds a ``ProofNode`` from the columns, so two reads give equal
-    nodes but not the same object.  Assigning stores the node's fields
-    (ints or None within the columns' range): over a filed node it rewrites
-    that node, and otherwise its id must exceed every id the graph has
-    filed.  An id that ``init_refutation`` reserved takes only the source
-    it mirrors.  Deleting unfiles a node; ``in`` means filed."""
+    nodes but not the same object; ``in`` means filed.  The view is
+    read-only: nodes are filed by ``add_source``, ``add_node``,
+    ``add_resolvent`` and ``parse_trace``, and unfiled by ``prune``."""
 
     __slots__ = ("_graph",)
 
@@ -456,32 +448,6 @@ class NodeView(MutableMapping):
         )
         return ProofNode(nid, Clause._trusted(lits), left, right, pivot)
 
-    def __setitem__(self, nid: int, node: ProofNode) -> None:
-        graph = self._graph
-        graph._derived = False
-        if not (isinstance(nid, int) and 0 < nid <= _MAX):
-            raise ValueError("node id must be in 1..%d, got %r" % (_MAX, nid))
-        if nid <= graph._reserved:
-            if not (node.is_source and node.clause == graph._sources[nid - 1]):
-                raise ValueError("node id %d is reserved for formula clause %d" % (nid, nid))
-            graph._src_filed[nid] = 1
-            return
-        fields = (node.left, node.right, node.pivot)
-        if not all(-_MAX <= v <= _MAX for v in fields if v is not None):
-            raise ValueError("node %d holds a value beyond +-%d" % (nid, _MAX))
-        graph._file(nid, *(_NONE if v is None else v for v in fields), node.clause._lits)
-
-    def __delitem__(self, nid: int) -> None:
-        graph = self._graph
-        r, lits = graph._locate(nid) if isinstance(nid, int) else (-1, None)
-        if lits is None:
-            raise KeyError(nid)
-        if r < 0:
-            graph._src_filed[nid] = 0
-            graph._derived = False
-        else:
-            graph._unfile_row(r)
-
     def __contains__(self, nid: object) -> bool:
         return isinstance(nid, int) and self._graph._locate(nid)[1] is not None
 
@@ -498,7 +464,8 @@ class NodeView(MutableMapping):
 
 def init_refutation(formula: Formula) -> RefutationGraph:
     """An empty graph reserving ids 1..m for the formula's m clauses, each
-    filed as its source when ``add_node`` first uses it; resolvent ids start at m + 1."""
+    filed as its source when ``add_node`` or ``add_resolvent`` first uses
+    it as a premise; resolvent ids start at m + 1."""
     graph = RefutationGraph()
     graph._sources, graph._reserved = formula.clauses, len(formula.clauses)
     graph._src_filed = bytearray(graph._reserved + 1)
@@ -514,10 +481,12 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
     resolvent; each broken rule is recorded as ``node N: <message>``, in
     the wording ``parse_trace`` raises.  A graph still marked ``_derived``
     had every resolvent derived by those rules as it was filed, so only its
-    sources are checked.  complete: the empty clause is
-    present.  tree_like / regular are judged within the derivation of the
-    sink -- the lowest empty-clause node when complete, else the highest-id
-    node.  size counts resolvent nodes in the whole graph.
+    sources are checked; one that ``add_resolvent`` filed unchecked (the
+    solver's, or a broken graph forged through it) is re-derived in full.
+    complete: the empty clause is present.  tree_like / regular are judged
+    within the derivation of the sink -- the lowest empty-clause node when
+    complete, else the highest-id node.  size counts resolvent nodes in the
+    whole graph.
     """
     problems: List[str] = []
     size = 0
@@ -543,7 +512,6 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
                 right_rows[r] = bisect_left(ids, right, 0, r) if right > reserved else -1
                 continue
             (left_rows[r], left_lits), (right_rows[r], right_lits) = locate(left), locate(right)
-            pivot = None if pivot == _NONE else pivot
             derived = _derive(nid, left, right, pivot, left_lits, right_lits)
             if not _same_literals(derived, lits):
                 raise ValueError("literals differ from recomputed resolvent")
@@ -671,10 +639,10 @@ def parse_trace(text: str, formula: Formula) -> RefutationGraph:
                 graph.add_source(_source(formula, numbers[0], lits), numbers[0])
                 continue
             nid, pivot_var, left_id, right_id = numbers[:4]
-            claim(nid)
+            claim(nid, True)
             left, right = locate(left_id)[1], locate(right_id)[1]
             derived = _derive(nid, left_id, right_id, pivot_var, left, right)
-            file(nid, left_id, right_id, pivot_var, derived)
+            file(claim(nid), left_id, right_id, pivot_var, derived)
             if lits != derived:
                 raise ValueError("literals differ from recomputed resolvent")
         except ValueError as exc:

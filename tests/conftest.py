@@ -1,5 +1,6 @@
 """Shared fixtures: the four-clause example formula, a hand-built shared-node
-refutation of it, and the seeded random corpus swept once per session."""
+refutation of it, a way to forge broken graphs, and the seeded random corpus
+swept once per session."""
 import time
 
 import pytest
@@ -49,6 +50,22 @@ def make_shared_node_refutation(formula: Formula) -> RefutationGraph:
     graph.add_node(1, 5, 2)  # 6: (1)
     graph.add_node(4, 5, 2)  # 7: (-1)
     graph.add_node(6, 7, 1)  # 8: ()
+    return graph
+
+
+def forge_graph(nodes, graph=None) -> RefutationGraph:
+    """``graph`` (a new plain graph by default) with the ``{id: ProofNode}``
+    dict ``nodes`` filed in id order through ``add_source`` and
+    ``add_resolvent``, which check neither a source against a formula nor
+    a step's premises, pivot or literals: the way to build a graph that
+    breaks the rules, for the checker to find."""
+    graph = RefutationGraph() if graph is None else graph
+    for nid in sorted(nodes):
+        node = nodes[nid]
+        if node.is_source:
+            graph.add_source(node.clause, nid)
+        else:
+            graph.add_resolvent(node.left, node.right, node.pivot, node.clause.literals, nid)
     return graph
 
 

@@ -21,6 +21,7 @@ from proofsat.cnf import _BLOCK, _lines
 from proofsat.proofs import ProofNode, _oriented_set, _resolvent_set, _source
 
 from conftest import (
+    forge_graph,
     make_base_formula,
     make_shared_node_refutation,
     reference_check_refutation,
@@ -44,14 +45,11 @@ r 8 1 6 7 0
 """
 
 
-def filed_sources(formula):
-    """A plain graph holding every formula clause as its source, for tests
-    that forge resolvents over them (``init_refutation`` reserves those
-    ids and files a source only when ``add_node`` first uses it)."""
-    graph = RefutationGraph()
-    for cid in formula.ids():
-        graph.add_source(formula.clause(cid), cid)
-    return graph
+def sources_of(formula):
+    """Every formula clause as its source node, by id, for tests that forge
+    resolvents over them (``init_refutation`` reserves those ids and files
+    a source only when a step first uses it)."""
+    return {cid: ProofNode(cid, formula.clause(cid)) for cid in formula.ids()}
 
 
 class TestPivotAndResolve:
@@ -125,6 +123,8 @@ class TestRefutationGraph:
         g.add_node(2, 3, 3, node_id=9)
         with pytest.raises(ValueError):
             g.add_node(2, 3, 3, node_id=9)
+        with pytest.raises(ValueError, match="node id 9 already used"):
+            g.add_resolvent(2, 3, 3, [-2], node_id=9)
         assert g.add_node(2, 3, 3) == 10  # auto id continues past the gap
 
     def test_default_id_already_used_rejected(self):
@@ -132,10 +132,9 @@ class TestRefutationGraph:
         # must not be overwritten by an add_node call without an id.
         f = make_base_formula()
         g = init_refutation(f)
-        forged = ProofNode(5, Clause([9]))
-        g.nodes[5] = forged
+        g.add_source(Clause([9]), 5)
         assert g.add_node(2, 3, 3) == 6  # the default id is past every filed id
-        assert g.nodes[5] == forged
+        assert g.nodes[5] == ProofNode(5, Clause([9]))
 
     def test_explicit_ids_below_a_filed_id_rejected(self):
         f = make_base_formula()
@@ -221,27 +220,27 @@ class TestChecker:
 
     def test_forged_resolvent_clause_reported(self):
         # The checker must recompute resolvents rather than trust the graph,
-        # so forge a node behind the constructor's back.
+        # so forge a node that add_node would reject.
         f = make_base_formula()
-        g = filed_sources(f)
-        g.nodes[5] = ProofNode(5, Clause([3]), left=2, right=3, pivot=3)
+        g = forge_graph({**sources_of(f), 5: ProofNode(5, Clause([3]), left=2, right=3, pivot=3)})
         report = check_refutation(g, f)
         assert not report.valid
         assert any("recomputed resolvent" in p for p in report.problems)
 
     def test_missing_premise_reported(self):
         f = make_base_formula()
-        g = init_refutation(f)
-        g.nodes[5] = ProofNode(5, Clause([-2]), left=2, right=77, pivot=3)
+        g = forge_graph({5: ProofNode(5, Clause([-2]), left=2, right=77, pivot=3)}, init_refutation(f))
         report = check_refutation(g, f)
         assert not report.valid
         assert report.problems == ["node 5: premise id not defined earlier"]
 
     def test_premise_order_violation_reported(self):
         f = make_base_formula()
-        g = filed_sources(f)
-        g.nodes[5] = ProofNode(5, Clause([-2]), left=2, right=3, pivot=3)
-        g.nodes[4] = ProofNode(4, Clause([-1, 2]), left=5, right=1, pivot=2)
+        g = forge_graph({
+            **sources_of(f),
+            4: ProofNode(4, Clause([-1, 2]), left=5, right=1, pivot=2),
+            5: ProofNode(5, Clause([-2]), left=2, right=3, pivot=3),
+        })
         report = check_refutation(g, f)
         assert not report.valid
         assert "node 4: resolvent id must exceed its premise ids" in report.problems
@@ -250,14 +249,16 @@ class TestChecker:
         report = check_refutation(RefutationGraph(), make_base_formula())
         assert report.valid and not report.complete and report.size == 0
 
-    @pytest.mark.parametrize("bad_pivot", [-3, 0, None])
+    @pytest.mark.parametrize("bad_pivot", [-3, 0])
     def test_pivot_that_is_not_a_variable_reported(self, bad_pivot):
         # (-2) does follow from clauses 2 and 3 on -3, so only the pivot is
         # wrong; the checker must report it rather than raise.
         f = make_base_formula()
-        g = filed_sources(f)
-        g.nodes[5] = ProofNode(5, Clause([-2]), left=2, right=3, pivot=bad_pivot)
-        g.nodes[6] = ProofNode(6, Clause([-2]), left=5, right=5, pivot=3)
+        g = forge_graph({
+            **sources_of(f),
+            5: ProofNode(5, Clause([-2]), left=2, right=3, pivot=bad_pivot),
+            6: ProofNode(6, Clause([-2]), left=5, right=5, pivot=3),
+        })
         report = check_refutation(g, f)
         assert not report.valid
         assert "node 5: pivot must be a positive variable, got %r" % (bad_pivot,) in report.problems
@@ -325,20 +326,19 @@ def test_each_fault_has_one_wording(sources, record, message):
     assert str(info.value) == "line %d: %s" % (len(sources) + 2, message)
 
     # The graph is filed in id order, the faulty node among the sources.
-    g = RefutationGraph()
-    for cid in sorted([*sources, nid]):
-        if cid != nid:
-            g.add_source(f.clause(cid), cid)
-        elif kind == "o":
-            g.nodes[nid] = ProofNode(nid, Clause(numbers[1:]))
-        else:
-            g.nodes[nid] = ProofNode(nid, Clause(numbers[4:]), numbers[2], numbers[3], numbers[1])
+    nodes = {cid: ProofNode(cid, f.clause(cid)) for cid in sources}
+    if kind == "o":
+        nodes[nid] = ProofNode(nid, Clause(numbers[1:]))
+    else:
+        nodes[nid] = ProofNode(nid, Clause(numbers[4:]), numbers[2], numbers[3], numbers[1])
+    g = forge_graph(nodes)
     assert check_refutation(g, f).problems == ["node %d: %s" % (nid, message)]
 
 
 # ---------------------------------------------------------------------------
 # The checker against ``reference_check_refutation`` on graphs that break
-# the rules.  Each fault rewrites one resolvent of a valid refutation; the
+# the rules.  Each fault rewrites one resolvent in a dict copy of a valid
+# refutation's nodes, and the graph is forged from the dict; the
 # refutations are extracted derivations, so every node is reachable from
 # the empty clause.
 
@@ -411,10 +411,10 @@ FAULTS = [dangling_premise, later_premise, premise_used_twice, cycle,
 @given(data=st.data())
 def test_checker_matches_reference_on_broken_graphs(fault, data):
     formula, base = data.draw(st.sampled_from(REFUTATIONS), label="refutation")
-    graph = RefutationGraph()
-    graph.nodes.update(base.nodes)
+    nodes = dict(base.nodes)
     for extra in [fault] + data.draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
-        extra(graph.nodes, data.draw)
+        extra(nodes, data.draw)
+    graph = forge_graph(nodes)
     assert check_refutation(graph, formula) == reference_check_refutation(graph, formula)
 
 
@@ -520,20 +520,27 @@ class TestTraceFormat:
 
 
 class TestNodeStore:
-    """The graph keeps its nodes in 32-bit columns; ``nodes`` is a view."""
+    """The graph keeps its nodes in 32-bit columns; ``nodes`` is a read-only view."""
 
-    def test_view_reads_equal_nodes_and_writes_through(self):
-        f = make_base_formula()
-        g = make_shared_node_refutation(f)
+    def test_view_reads_equal_nodes(self):
+        g = make_shared_node_refutation(make_base_formula())
         assert g.nodes[5] == g.nodes[5] and g.nodes[5] is not g.nodes[5]
         assert g.nodes[5] == ProofNode(5, Clause([-2]), 2, 3, 3)
         assert 5 in g.nodes and 9 not in g.nodes and "5" not in g.nodes
-        g.nodes[9] = ProofNode(9, Clause([1, -3]), left=8, right=None, pivot=None)
-        assert g.nodes[9] == ProofNode(9, Clause([1, -3]), left=8)
-        del g.nodes[9]
-        assert 9 not in g.nodes and len(g) == 8
-        with pytest.raises(KeyError):
-            del g.nodes[9]
+
+    def test_view_is_read_only(self):
+        # Nodes are filed only by the graph's own calls: writing or deleting
+        # through the view, a filed node or not, changes nothing.
+        f = make_base_formula()
+        g = make_shared_node_refutation(f)
+        for nid in (5, 9):
+            with pytest.raises(TypeError):
+                g.nodes[nid] = ProofNode(nid, Clause([-2]), 2, 3, 3)
+        for nid in (2, 5, 9):
+            with pytest.raises(TypeError):
+                del g.nodes[nid]
+        assert g == make_shared_node_refutation(f)
+        assert check_refutation(g, f) == check_refutation(make_shared_node_refutation(f), f)
 
     def test_missing_ids_name_themselves(self):
         g = make_shared_node_refutation(make_base_formula())
@@ -541,32 +548,6 @@ class TestNodeStore:
             with pytest.raises(KeyError) as info:
                 read(9)
             assert info.value.args == ("no node with id 9",)
-
-    def test_reserved_ids_take_only_their_source(self):
-        f = make_base_formula()
-        g = init_refutation(f)
-        g.nodes[2] = ProofNode(2, f.clause(2))
-        assert g.node_ids() == [2]
-        with pytest.raises(ValueError, match="reserved for formula clause 3"):
-            g.nodes[3] = ProofNode(3, Clause([-2]))
-        del g.nodes[2]
-        assert g.node_ids() == []
-        assert g.add_node(2, 3, 3) == 5  # an unfiled source is filed again on use
-        assert g.node_ids() == [2, 3, 5]
-
-    def test_rewrites_keep_the_arena_bounded(self):
-        # 1,000 rewrites of node 5, growing and shrinking: the literals the
-        # graph holds stay within twice the 6 its live rows need at most,
-        # and a sub-graph extracted before them still reads its own.
-        f = make_base_formula()
-        g = make_shared_node_refutation(f)
-        sub = g.extract_derivation(8)
-        forged = [ProofNode(5, Clause(lits), 2, 3, 3) for lits in ([1, 3], [-2], [1, -2, 3, 4])]
-        for i in range(1000):
-            g.nodes[5] = forged[i % 3]
-            assert len(g._lits) <= 12
-        assert g.nodes[5] == forged[999 % 3] and g.literals(6) == (1,) and g.literals(8) == ()
-        assert sub.nodes == make_shared_node_refutation(f).nodes
 
     def test_pruned_nodes_are_compacted_away(self):
         # 300 copies of (-2), most pruned: the rows left follow the nodes
@@ -610,23 +591,6 @@ class TestNodeStore:
         report = check_refutation(g, f)
         assert report.valid and report.complete and report.size == n
 
-    def test_filing_over_a_filed_id_rewrites_its_row(self):
-        # A middle row and the last one, each rewritten as a valid step
-        # with new premises, pivot and literals: no row is added, and the
-        # nodes built on the old (-2) at 5 no longer check.
-        f = make_base_formula()
-        g = make_shared_node_refutation(f)
-        rows = len(g._ids)
-        for forged in (ProofNode(5, Clause([1, 3]), 1, 2, 2), ProofNode(8, Clause([1, -2]), 5, 3, 3)):
-            g.nodes[forged.id] = forged
-            assert g.nodes[forged.id] == forged
-        assert len(g._ids) == rows and g.node_ids() == [1, 2, 3, 4, 5, 6, 7, 8]
-        assert g.literals(5) == (1, 3) and g.literals(6) == (1,)
-        assert check_refutation(g, f).problems == [
-            "node 6: pivot 2 does not occur with opposite polarities in the premises",
-            "node 7: pivot 2 does not occur with opposite polarities in the premises",
-        ]
-
     def test_pruned_ids_are_never_filed_again(self):
         # The last row pruned, then 200 more, so that compaction drops
         # their rows: filing over the last fails the same way before and
@@ -635,17 +599,16 @@ class TestNodeStore:
         g = init_refutation(f)
         copies = [g.add_node(2, 3, 3) for _ in range(300)]
         last = copies[-1]
-        forged = ProofNode(last, Clause([-2]), 2, 3, 3)
         message = "node id %d must exceed %d, the highest id filed before it" % (last, last)
         assert g.prune(last) == (2, 3) and last not in g.nodes
         with pytest.raises(ValueError) as before:
-            g.nodes[last] = forged
+            g.add_resolvent(2, 3, 3, [-2], last)
         rows = len(g._ids)
         for nid in copies[:200]:
             g.prune(nid)
         assert len(g._ids) < rows
         with pytest.raises(ValueError) as after:
-            g.nodes[last] = forged
+            g.add_resolvent(2, 3, 3, [-2], last)
         assert str(before.value) == str(after.value) == message
         assert last not in g.nodes and g.add_node(2, 3, 3) == last + 1
 
@@ -691,14 +654,11 @@ def test_hostile_ids_are_rejected_or_missing(huge):
     for premise in (None, "2", 2.0):
         with pytest.raises(ValueError, match="premise id not defined earlier"):
             g.add_node(premise, 3, 3)
-    with pytest.raises(ValueError, match="node id must be in 1..2147483647"):
-        g.nodes[huge] = ProofNode(huge, Clause([-2]), 2, 3, 3)
-    with pytest.raises(ValueError, match="node id must be in 1..2147483647, got '5'"):
-        g.nodes["5"] = ProofNode(5, Clause([-2]), 2, 3, 3)
-    for fields in ({"left": huge}, {"right": -huge}, {"pivot": huge}):
-        forged = ProofNode(5, Clause([-2]), **{"left": 2, "right": 3, "pivot": 3, **fields})
+    with pytest.raises(ValueError, match="node id %d exceeds" % huge):
+        g.add_resolvent(2, 3, 3, [-2], huge)
+    for fields in ((huge, 3, 3), (2, -huge, 3), (2, 3, huge)):
         with pytest.raises(ValueError, match="node 5 holds a value beyond"):
-            g.nodes[5] = forged
+            g.add_resolvent(*fields, [-2])
     assert g.node_ids() == []
 
 
@@ -728,35 +688,65 @@ def test_hostile_literals_are_rejected():
         g.add_node(1, 2, big)
     assert g.node_ids() == [] and len(g._lits) == 0
     with pytest.raises(ValueError, match="node 5 holds a value beyond"):
-        RefutationGraph().nodes[5] = ProofNode(5, Clause([big]))
+        RefutationGraph().add_source(Clause([big]), 5)
+
+
+def test_add_resolvent_stores_nothing_the_columns_cannot_hold():
+    # A premise or pivot beyond +-(2**31 - 1), -2**31 itself (the columns'
+    # mark for None), or None leaves no part of the row behind: the next
+    # two steps file as if the failed one had never been tried.
+    f = RULE_FORMULA
+    beyond = [(2**40, 4, 3), (3, 2**40, 3), (3, 4, 2**40), (3, -2**40, 3),
+              (-2**31, 4, 3), (3, -2**31, 3), (3, 4, -2**31)]
+    cases = [(fields, ValueError) for fields in beyond] + [
+        ((None, 4, 3), TypeError), ((3, 4, None), TypeError)]
+    for fields, error in cases:
+        g = init_refutation(f)
+        with pytest.raises(error) as info:
+            g.add_resolvent(*fields, [-2])
+        if error is ValueError:
+            assert str(info.value) == "node 5 holds a value beyond +-2147483647"
+        assert g.node_ids() == [] and len(g) == 0
+        assert g.add_node(3, 4, 3) == 5 and g.add_node(1, 5, 2) == 6
+        assert g.node_ids() == [1, 3, 4, 5, 6]
+        assert g.node(5) == ProofNode(5, Clause([-2]), 3, 4, 3)
+        assert g.node(6) == ProofNode(6, Clause([1]), 1, 5, 2)
+        assert check_refutation(g, f).valid
+
+
+def test_add_resolvent_files_no_source_for_a_premise_below_one():
+    # Premises 0 and -1 name no node: a plain graph gains no node 0, and a
+    # graph from init_refutation does not file its last clause for -1.
+    f = RULE_FORMULA
+    missing = ["node 5: premise id not defined earlier"]
+    g = forge_graph(sources_of(f))
+    g.add_resolvent(0, 4, 3, [-2])
+    assert g.node_ids() == [1, 2, 3, 4, 5] and check_refutation(g, f).problems == missing
+    h = init_refutation(f)
+    h.add_resolvent(-1, 3, 3, [-2])
+    assert h.node_ids() == [3, 5] and check_refutation(h, f).problems == missing
 
 
 class TestDerivedMark:
     """``check_refutation`` re-derives no resolvent of a graph built only by
-    ``add_node`` or ``parse_trace``; every other write must make it re-derive
-    them all, or a forged step would pass."""
+    ``add_node``, ``add_source`` or ``parse_trace``; ``add_resolvent``,
+    ``prune`` and ``extract_derivation`` must make it re-derive them all, or
+    a forged step would pass."""
 
     def test_forged_node_after_parse_is_reported(self):
         f = make_base_formula()
         g = parse_trace(SHARED_TRACE, f)
         assert check_refutation(g, f).valid
-        g.nodes[6] = ProofNode(6, Clause([-1]), 1, 5, 2)
+        forge_graph({9: ProofNode(9, Clause([-1]), 1, 5, 2)}, g)  # the resolvent is (1)
         problems = check_refutation(g, f).problems
-        assert problems[0] == "node 6: literals differ from recomputed resolvent"
+        assert problems[0] == "node 9: literals differ from recomputed resolvent"
 
-    @pytest.mark.parametrize("unfile", ["prune", "del resolvent", "del source"])
-    def test_unfiled_premise_after_add_node_is_reported(self, unfile):
+    def test_unfiled_premise_after_add_node_is_reported(self):
         f = make_base_formula()
         g = make_shared_node_refutation(f)
         assert check_refutation(g, f).valid
-        if unfile == "prune":
-            assert g.prune(5) == (2, 3)
-        elif unfile == "del resolvent":
-            del g.nodes[5]
-        else:
-            del g.nodes[2]
-        user = 5 if unfile == "del source" else 6
-        assert "node %d: premise id not defined earlier" % user in check_refutation(g, f).problems
+        assert g.prune(5) == (2, 3)
+        assert "node 6: premise id not defined earlier" in check_refutation(g, f).problems
 
     def test_wrong_literals_through_add_resolvent_are_reported(self):
         # Filed unchecked, as the solver files its steps: the whole graph
