@@ -943,21 +943,22 @@ class Solver:
                 raise InvariantViolation(
                     "resolvent %d resolved after being pruned" % premise
                 )
-            if premise in self.graph.nodes and not self.graph.nodes[premise].is_source:
+            if premise in self.graph and not self.graph.node(premise).is_source:
                 self.consumed.add(premise)
 
     def _check_graph_closed(self) -> None:
         """No credited resolvent is left in the graph, and every premise of
         a resolvent in it is in it too, so no deletion stranded a node."""
-        nodes = self.graph.nodes if self.graph is not None else {}
-        if not self.pruned_marks.isdisjoint(nodes):
+        graph = self.graph if self.graph is not None else RefutationGraph()
+        ids = graph.node_ids()
+        if not self.pruned_marks.isdisjoint(ids):
             raise InvariantViolation("a credited node is still in the graph")
-        for node in nodes.values():
-            if not node.is_source and not (node.left in nodes and node.right in nodes):
+        for node in map(graph.node, ids):
+            if not node.is_source and not (node.left in graph and node.right in graph):
                 raise InvariantViolation("node %d lost a premise" % node.id)
 
     def _check_pruning_partition(self, proof: RefutationGraph) -> None:
-        overlap = {nid for nid, node in proof.nodes.items() if not node.is_source}
+        overlap = {nid for nid in proof.node_ids() if not proof.node(nid).is_source}
         overlap &= self.pruned_marks
         if overlap:
             raise InvariantViolation("pruned nodes %s in the final refutation" % sorted(overlap))

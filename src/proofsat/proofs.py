@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count
 from operator import add
@@ -136,23 +135,23 @@ class RefutationGraph:
     of its literals in one flat arena, each an ``array('i')``, and a byte
     saying whether the row is still filed.  The arena keeps literals in the
     order they were filed, a resolvent's as the kernel gave them; every
-    read (``literals``, ``nodes``, the trace and DOT writers) gives them in
+    read (``node``, ``literals``, the trace and DOT writers) gives them in
     ``Clause`` order.  Ids only grow, so rows are
     appended in id order and a filed id finds its row by bisection.  The
-    graph is append-only: a new id must exceed every id ever given a row,
-    and a filed row is never written again.  Unfiling a row leaves it dead;
+    graph is append-only: ``_file`` appends every row, and a filed row is
+    never written again.  Unfiling a row leaves it dead;
     once dead rows outnumber live ones, the columns are rebuilt from the
     live rows, so the store follows the nodes filed, not every node ever
     added.  Ids 1..``_reserved`` belong to the clauses of the formula given
     to ``init_refutation``: such a source is filed by a flag and reads its
-    literals from the clause it mirrors.  ``nodes`` is a read-only mapping
-    view of the filed nodes.
+    literals from the clause it mirrors.  ``node``, ``literals`` and
+    ``in`` read one filed node, and ``node_ids`` lists them all.
 
     ``_derived`` marks a graph whose every resolvent row holds the literals
-    ``_derive`` computed from premises that are still filed: ``add_node``
-    and ``parse_trace`` keep it, and ``add_resolvent`` and ``prune`` clear
-    it for good, as does extracting a sub-graph.  ``check_refutation``
-    re-derives no resolvent of a marked graph.
+    ``_derive`` computed from premises that are still filed: ``add_node``,
+    ``add_source`` and ``parse_trace`` keep it, and ``add_resolvent`` and
+    ``prune`` clear it for good, as does extracting a sub-graph.
+    ``check_refutation`` re-derives no resolvent of a marked graph.
     """
 
     def __init__(self) -> None:
@@ -210,9 +209,15 @@ class RefutationGraph:
 
     def _file(self, nid: int, left: int, right: int, pivot: int, lits: Collection[Literal]) -> None:
         """Append a row for node ``nid``, an id ``_claim_id`` has passed,
-        with ``lits`` in the order given.  A literal, premise or pivot the
-        columns cannot hold raises ValueError, and one that is not an int
-        TypeError; either way the columns drop what they took of the row."""
+        with ``lits`` in the order given, and file the reserved sources
+        among its premises.  The one place that refuses an id below the
+        highest id filed.  A literal, premise or pivot the columns cannot
+        hold raises ValueError, and one that is not an int TypeError;
+        either way the columns drop what they took of the row."""
+        if nid < self._next_id:
+            raise ValueError(
+                "node id %d must exceed %d, the highest id filed before it" % (nid, self._next_id - 1)
+            )
         arena = self._lits
         end = len(arena)
         try:
@@ -235,6 +240,10 @@ class RefutationGraph:
         self._len.append(len(arena) - end)
         self._live.append(1)
         self._next_id = nid + 1
+        if self._reserved >= left > 0:  # file the step's new sources
+            self._src_filed[left] = 1
+        if self._reserved >= right > 0:
+            self._src_filed[right] = 1
 
     def _unfile_row(self, r: int) -> None:
         self._derived = False
@@ -266,24 +275,18 @@ class RefutationGraph:
 
     # -- construction -----------------------------------------------------
 
-    def _claim_id(self, wanted: Optional[int], derive_first: bool = False) -> int:
-        """``wanted`` (the next id for None) as a new node's id: the one place
-        that refuses an id below the mark, as already used or as below the
-        highest id filed.  ``derive_first`` leaves the second refusal to a
-        later claim, so ``add_node`` and ``parse_trace`` name a faulty
+    def _claim_id(self, wanted: Optional[int]) -> int:
+        """``wanted`` (the next id for None) as a new node's id, refused when
+        it is not positive, already used or beyond the columns.  An unused
+        id below the highest id filed passes here and is refused by
+        ``_file``, so that ``add_node`` and ``parse_trace`` name a faulty
         step's own rule first."""
         if wanted is None:
             wanted = self._next_id
         elif wanted < 1:
             raise ValueError("node id must be positive")
-        elif wanted < self._next_id:
-            if wanted <= self._reserved or self._row(wanted) >= 0:
-                raise ValueError("node id %d already used" % wanted)
-            if not derive_first:
-                raise ValueError(
-                    "node id %d must exceed %d, the highest id filed before it"
-                    % (wanted, self._next_id - 1)
-                )
+        elif wanted < self._next_id and (wanted <= self._reserved or self._row(wanted) >= 0):
+            raise ValueError("node id %d already used" % wanted)
         if wanted > _MAX:
             raise ValueError("node id %d exceeds %d" % (wanted, _MAX))
         return wanted
@@ -295,6 +298,24 @@ class RefutationGraph:
         nid = self._claim_id(node_id)
         self._file(nid, _NONE, _NONE, _NONE, clause._lits)
         return nid
+
+    def _file_derived(
+        self, left_id: int, right_id: int, pivot_var: Variable, node_id: Optional[int]
+    ) -> Tuple[int, Set[Literal]]:
+        """The checked filing step of ``add_node`` and ``parse_trace``: claim
+        the id, read the premises, derive the resolvent by the rules of
+        ``_derive`` and file it, keeping the ``_derived`` mark.  Returns the
+        id and the derived literal set."""
+        nid = self._claim_id(node_id)
+        reserved, sources, locate = self._reserved, self._sources, self._locate
+        try:  # a reserved source is read even before it is filed
+            left = sources[left_id - 1]._lits if 0 < left_id <= reserved else locate(left_id)[1]
+            right = sources[right_id - 1]._lits if 0 < right_id <= reserved else locate(right_id)[1]
+        except TypeError:  # an id that is not an int names no node
+            left = right = None
+        lits = _derive(nid, left_id, right_id, pivot_var, left, right)
+        self._file(nid, left_id, right_id, pivot_var, lits)
+        return nid, lits
 
     def add_node(
         self,
@@ -310,18 +331,7 @@ class RefutationGraph:
         ValueError if the id is taken or out of range, the step breaks a
         rule of ``_derive``, or the id is below an id already filed.
         """
-        nid = self._claim_id(node_id, derive_first=True)
-        reserved, sources, locate = self._reserved, self._sources, self._locate
-        try:  # a reserved source is read even before it is filed
-            left = sources[left_id - 1]._lits if 0 < left_id <= reserved else locate(left_id)[1]
-            right = sources[right_id - 1]._lits if 0 < right_id <= reserved else locate(right_id)[1]
-        except TypeError:  # an id that is not an int names no node
-            left = right = None
-        lits = _derive(nid, left_id, right_id, pivot_var, left, right)
-        mark = self._derived  # derived just now, so filing it keeps the mark
-        self.add_resolvent(left_id, right_id, pivot_var, lits, nid)  # claims nid in full
-        self._derived = mark
-        return nid
+        return self._file_derived(left_id, right_id, pivot_var, node_id)[0]
 
     def add_resolvent(
         self, left_id: int, right_id: int, pivot_var: Variable, lits: Collection[Literal],
@@ -336,19 +346,18 @@ class RefutationGraph:
         else:
             nid = self._claim_id(node_id)
         if left_id == _NONE or right_id == _NONE or pivot_var == _NONE:  # the columns' mark for None
-            raise ValueError("node %d holds a value beyond +-%d" % (nid, _MAX))
+            lits = (_NONE,)  # so _file refuses the row as beyond range, after the id
         self._file(nid, left_id, right_id, pivot_var, lits)
         self._derived = False
-        if self._reserved >= left_id > 0:  # file the step's new sources
-            self._src_filed[left_id] = 1
-        if self._reserved >= right_id > 0:
-            self._src_filed[right_id] = 1
         return nid
 
     def prune(self, node_id: int) -> Optional[Tuple[int, int]]:
         """Unfile resolvent ``node_id`` and return its premises; None, and
         no change, when ``node_id`` is not a filed resolvent."""
-        r = self._row(node_id) if node_id > self._reserved else -1
+        try:
+            r = self._row(node_id) if node_id > self._reserved else -1
+        except TypeError:  # an id that is not an int names no node
+            return None
         if r < 0 or self._left[r] == _NONE:
             return None
         premises = self._left[r], self._right[r]
@@ -357,25 +366,38 @@ class RefutationGraph:
 
     # -- access -----------------------------------------------------------
 
-    @property
-    def nodes(self) -> "NodeView":
-        return NodeView(self)
+    def _read(self, node_id: object) -> Tuple[int, Sequence[Literal]]:
+        """``_locate`` for a filed node: raises KeyError naming ``node_id``
+        when it is not one, or not an int."""
+        r, lits = self._locate(node_id) if isinstance(node_id, int) else (-1, None)
+        if lits is None:
+            raise KeyError("no node with id %r" % (node_id,))
+        return r, lits
 
     def node(self, node_id: int) -> ProofNode:
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise KeyError("no node with id %r" % (node_id,)) from None
+        """Node ``node_id``, built from the columns on each read."""
+        r, lits = self._read(node_id)
+        if r < 0:
+            return ProofNode(node_id, self._sources[node_id - 1])
+        left, right, pivot = (
+            None if v == _NONE else v for v in (self._left[r], self._right[r], self._pivot[r])
+        )
+        return ProofNode(node_id, Clause._trusted(lits), left, right, pivot)
 
     def literals(self, node_id: int) -> Tuple[Literal, ...]:
         """The literals of node ``node_id``, in ``Clause`` order."""
-        lits = self._locate(node_id)[1]
-        if lits is None:
-            raise KeyError("no node with id %r" % (node_id,))
-        return tuple(sorted(lits, key=abs))
+        return tuple(sorted(self._read(node_id)[1], key=abs))
+
+    def __contains__(self, node_id: object) -> bool:
+        try:
+            self._read(node_id)
+        except KeyError:
+            return False
+        return True
 
     def node_ids(self) -> List[int]:
-        return list(self.nodes)
+        """The filed ids, ascending."""
+        return [*compress(range(self._reserved + 1), self._src_filed), *compress(self._ids, self._live)]
 
     def __len__(self) -> int:
         return self._src_filed.count(1) + len(self._live) - self._dead
@@ -388,12 +410,10 @@ class RefutationGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RefutationGraph):
             return NotImplemented
-        return self.nodes == other.nodes
+        ids = self.node_ids()
+        return ids == other.node_ids() and all(self.node(k) == other.node(k) for k in ids)
 
     # -- derivations ------------------------------------------------------
-
-    def reachable_from(self, node_id: int) -> Set[int]:
-        return set(self.extract_derivation(node_id).nodes)
 
     def extract_derivation(self, node_id: int) -> "RefutationGraph":
         """Subgraph of everything reachable from node_id, ids preserved.
@@ -421,45 +441,6 @@ class RefutationGraph:
         sub._derived = False
         sub._next_id = max(sub._ids[-1] if sub._ids else 0, sub._reserved) + 1
         return sub
-
-
-class NodeView(Mapping):
-    """The filed nodes of a RefutationGraph by id, iterated in id order.
-
-    Reading builds a ``ProofNode`` from the columns, so two reads give equal
-    nodes but not the same object; ``in`` means filed.  The view is
-    read-only: nodes are filed by ``add_source``, ``add_node``,
-    ``add_resolvent`` and ``parse_trace``, and unfiled by ``prune``."""
-
-    __slots__ = ("_graph",)
-
-    def __init__(self, graph: RefutationGraph) -> None:
-        self._graph = graph
-
-    def __getitem__(self, nid: int) -> ProofNode:
-        graph = self._graph
-        r, lits = graph._locate(nid) if isinstance(nid, int) else (-1, None)
-        if lits is None:
-            raise KeyError(nid)
-        if r < 0:
-            return ProofNode(nid, graph._sources[nid - 1])
-        left, right, pivot = (
-            None if v == _NONE else v for v in (graph._left[r], graph._right[r], graph._pivot[r])
-        )
-        return ProofNode(nid, Clause._trusted(lits), left, right, pivot)
-
-    def __contains__(self, nid: object) -> bool:
-        return isinstance(nid, int) and self._graph._locate(nid)[1] is not None
-
-    def __iter__(self) -> Iterator[int]:
-        graph = self._graph
-        return chain(
-            compress(range(graph._reserved + 1), graph._src_filed),
-            compress(graph._ids, graph._live),
-        )
-
-    def __len__(self) -> int:
-        return len(self._graph)
 
 
 def init_refutation(formula: Formula) -> RefutationGraph:
@@ -598,11 +579,11 @@ def parse_trace(text: str, formula: Formula) -> RefutationGraph:
     reuses an id or comes below an id already filed, an 'r' record that
     ``add_node`` rejects, a value the graph's columns cannot hold, and an
     'r' record whose literals differ from the recomputed resolvent.  Each
-    'r' record is derived once, as ``add_node`` would, and the graph stays
-    marked ``_derived``.
+    'r' record is derived and filed once, by ``add_node``'s own step, and
+    the graph stays marked ``_derived``.
     """
     graph = RefutationGraph()
-    claim, locate, file = graph._claim_id, graph._locate, graph._file
+    file_derived = graph._file_derived
     header_seen = False
     for line_no, raw in enumerate(_lines(text), start=1):
         tokens = raw.split()
@@ -639,11 +620,7 @@ def parse_trace(text: str, formula: Formula) -> RefutationGraph:
                 graph.add_source(_source(formula, numbers[0], lits), numbers[0])
                 continue
             nid, pivot_var, left_id, right_id = numbers[:4]
-            claim(nid, True)
-            left, right = locate(left_id)[1], locate(right_id)[1]
-            derived = _derive(nid, left_id, right_id, pivot_var, left, right)
-            file(claim(nid), left_id, right_id, pivot_var, derived)
-            if lits != derived:
+            if file_derived(left_id, right_id, pivot_var, nid)[1] != lits:
                 raise ValueError("literals differ from recomputed resolvent")
         except ValueError as exc:
             raise ValueError("line %d: %s" % (line_no, exc)) from None
@@ -654,7 +631,7 @@ def parse_trace(text: str, formula: Formula) -> RefutationGraph:
 
 def _dot_blocks(graph: RefutationGraph) -> Iterator[str]:
     def lines() -> Iterator[str]:
-        locate = graph._locate
+        read = graph._read
         yield "digraph refutation {\n  rankdir=BT;\n"
         for _, nid, left, _, _, lits in graph._records():
             source = left == _NONE  # a source row is filed in Clause order already
@@ -665,7 +642,7 @@ def _dot_blocks(graph: RefutationGraph) -> Iterator[str]:
             if left == _NONE:
                 continue
             for premise in (left, right):
-                lits = locate(premise)[1] or graph.literals(premise)  # KeyError if not filed
+                lits = read(premise)[1]  # KeyError if not filed
                 edge_lit = -pivot if pivot in lits else pivot
                 yield '  n%d -> n%d [label="%d"];\n' % (premise, nid, edge_lit)
         yield "}\n"

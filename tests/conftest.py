@@ -69,13 +69,19 @@ def forge_graph(nodes, graph=None) -> RefutationGraph:
     return graph
 
 
+def nodes_of(graph: RefutationGraph):
+    """The ``{id: ProofNode}`` dict of ``graph``'s filed nodes, in id order:
+    what ``forge_graph`` files back."""
+    return {nid: graph.node(nid) for nid in graph.node_ids()}
+
+
 def reference_check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
     """The checker as it was before it judged tree-likeness and regularity
     with one map: a reachable set, a ``used`` set and an ``at_or_below``
     dict over sorted id lists.  ``check_refutation`` must give the same
     report for every graph, valid or not."""
     problems = []
-    nodes = graph.nodes
+    nodes = nodes_of(graph)
     size = 0
     empty_id = None
     for nid in sorted(nodes):
@@ -97,7 +103,7 @@ def reference_check_refutation(graph: RefutationGraph, formula: Formula) -> Chec
     valid = not problems
     complete = empty_id is not None
     if nodes:
-        derivation = graph.reachable_from(empty_id if complete else max(nodes))
+        derivation = graph.extract_derivation(empty_id if complete else max(nodes)).node_ids()
     else:
         derivation = set()
     tree_like = regular = True

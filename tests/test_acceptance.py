@@ -255,7 +255,7 @@ def test_hook_scenarios(report):
             break
         if isinstance(event, CdbSubstitute):
             substitution = event
-            parent_clause = solver.graph.nodes[solver.trail_parent[1]].clause
+            parent_clause = solver.graph.node(solver.trail_parent[1]).clause
     if substitution != CdbSubstitute(level=1, var=2):
         failures.append("substitution event %r" % (substitution,))
     if parent_clause != Clause([-2]):

@@ -1,5 +1,6 @@
-"""The public API: every exported name resolves, and the set is pinned, so an
-addition or a removal shows up in a diff of this file."""
+"""The public API: every exported name resolves, and the set is pinned, as
+are the public attributes of a proof graph, so an addition or a removal
+shows up in a diff of this file."""
 import dataclasses
 
 import proofsat
@@ -46,10 +47,27 @@ PUBLIC_NAMES = {
     "write_dimacs",
 }
 
+GRAPH_NAMES = {
+    "add_node",
+    "add_resolvent",
+    "add_source",
+    "extract_derivation",
+    "literals",
+    "node",
+    "node_ids",
+    "prune",
+    "size",
+}
+
 
 def test_all_matches_the_pinned_names():
     assert len(proofsat.__all__) == len(set(proofsat.__all__))
     assert set(proofsat.__all__) == PUBLIC_NAMES
+
+
+def test_graph_attributes_are_pinned():
+    graph = proofsat.init_refutation(proofsat.Formula(1, [(1,), (-1,)]))
+    assert {name for name in dir(graph) if not name.startswith("_")} == GRAPH_NAMES
 
 
 def test_every_exported_name_resolves():

@@ -131,8 +131,8 @@ def test_checker_memory_does_not_grow_with_variable_ids():
          for cid in formula.ids()],
     )
     graph = init_refutation(renamed)
-    for nid in sorted(proof.nodes):
-        node = proof.nodes[nid]
+    for nid in proof.node_ids():
+        node = proof.node(nid)
         if not node.is_source:
             graph.add_node(node.left, node.right, node.pivot + shift, node_id=nid)
     report = []

@@ -24,6 +24,7 @@ from conftest import (
     forge_graph,
     make_base_formula,
     make_shared_node_refutation,
+    nodes_of,
     reference_check_refutation,
 )
 
@@ -134,7 +135,7 @@ class TestRefutationGraph:
         g = init_refutation(f)
         g.add_source(Clause([9]), 5)
         assert g.add_node(2, 3, 3) == 6  # the default id is past every filed id
-        assert g.nodes[5] == ProofNode(5, Clause([9]))
+        assert g.node(5) == ProofNode(5, Clause([9]))
 
     def test_explicit_ids_below_a_filed_id_rejected(self):
         f = make_base_formula()
@@ -157,7 +158,6 @@ class TestRefutationGraph:
 
     def test_reachable_and_extract(self):
         g = make_shared_node_refutation(make_base_formula())
-        assert g.reachable_from(6) == {1, 2, 3, 5, 6}
         sub = g.extract_derivation(6)
         assert sub.node_ids() == [1, 2, 3, 5, 6]
         assert sub.size == 2
@@ -411,7 +411,7 @@ FAULTS = [dangling_premise, later_premise, premise_used_twice, cycle,
 @given(data=st.data())
 def test_checker_matches_reference_on_broken_graphs(fault, data):
     formula, base = data.draw(st.sampled_from(REFUTATIONS), label="refutation")
-    nodes = dict(base.nodes)
+    nodes = nodes_of(base)
     for extra in [fault] + data.draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
         extra(nodes, data.draw)
     graph = forge_graph(nodes)
@@ -458,7 +458,7 @@ class TestTraceFormat:
         g = parse_trace(text, f)
         report = check_refutation(g, f)
         assert report.valid and report.complete
-        assert g.nodes[5].clause.literals == (2, 3)
+        assert g.node(5).clause.literals == (2, 3)
         assert export_trace(g).splitlines()[1] == "o 1 1 2 3 0"
 
     def test_comments_and_blank_lines_ignored(self):
@@ -520,34 +520,27 @@ class TestTraceFormat:
 
 
 class TestNodeStore:
-    """The graph keeps its nodes in 32-bit columns; ``nodes`` is a read-only view."""
+    """The graph keeps its nodes in 32-bit columns; ``node`` builds a
+    ``ProofNode`` from them on each read."""
 
     def test_view_reads_equal_nodes(self):
         g = make_shared_node_refutation(make_base_formula())
-        assert g.nodes[5] == g.nodes[5] and g.nodes[5] is not g.nodes[5]
-        assert g.nodes[5] == ProofNode(5, Clause([-2]), 2, 3, 3)
-        assert 5 in g.nodes and 9 not in g.nodes and "5" not in g.nodes
-
-    def test_view_is_read_only(self):
-        # Nodes are filed only by the graph's own calls: writing or deleting
-        # through the view, a filed node or not, changes nothing.
-        f = make_base_formula()
-        g = make_shared_node_refutation(f)
-        for nid in (5, 9):
-            with pytest.raises(TypeError):
-                g.nodes[nid] = ProofNode(nid, Clause([-2]), 2, 3, 3)
-        for nid in (2, 5, 9):
-            with pytest.raises(TypeError):
-                del g.nodes[nid]
-        assert g == make_shared_node_refutation(f)
-        assert check_refutation(g, f) == check_refutation(make_shared_node_refutation(f), f)
+        assert g.node(5) == g.node(5) and g.node(5) is not g.node(5)
+        assert g.node(5) == ProofNode(5, Clause([-2]), 2, 3, 3)
+        assert 5 in g and 9 not in g and "5" not in g
 
     def test_missing_ids_name_themselves(self):
-        g = make_shared_node_refutation(make_base_formula())
-        for read in (g.node, g.literals):
-            with pytest.raises(KeyError) as info:
-                read(9)
-            assert info.value.args == ("no node with id 9",)
+        # An id that is not filed, or not an int, names no node: both reads
+        # say so, and prune changes nothing.
+        f = make_base_formula()
+        g = make_shared_node_refutation(f)
+        for nid in (9, "5", None, 2.5):
+            for read in (g.node, g.literals):
+                with pytest.raises(KeyError) as info:
+                    read(nid)
+                assert info.value.args == ("no node with id %r" % (nid,),)
+            assert nid not in g and g.prune(nid) is None
+        assert g == make_shared_node_refutation(f)
 
     def test_pruned_nodes_are_compacted_away(self):
         # 300 copies of (-2), most pruned: the rows left follow the nodes
@@ -600,7 +593,7 @@ class TestNodeStore:
         copies = [g.add_node(2, 3, 3) for _ in range(300)]
         last = copies[-1]
         message = "node id %d must exceed %d, the highest id filed before it" % (last, last)
-        assert g.prune(last) == (2, 3) and last not in g.nodes
+        assert g.prune(last) == (2, 3) and last not in g
         with pytest.raises(ValueError) as before:
             g.add_resolvent(2, 3, 3, [-2], last)
         rows = len(g._ids)
@@ -610,7 +603,7 @@ class TestNodeStore:
         with pytest.raises(ValueError) as after:
             g.add_resolvent(2, 3, 3, [-2], last)
         assert str(before.value) == str(after.value) == message
-        assert last not in g.nodes and g.add_node(2, 3, 3) == last + 1
+        assert last not in g and g.add_node(2, 3, 3) == last + 1
 
     def test_sparse_ids_up_to_the_column_limit(self):
         f = make_base_formula()
@@ -776,6 +769,13 @@ class TestDotExport:
         assert 'n7 -> n8 [label="1"];' in dot
         assert dot.rstrip().endswith("}")
 
+    def test_unfiled_premise_names_itself(self):
+        f = make_base_formula()
+        g = forge_graph({5: ProofNode(5, Clause([-2]), left=2, right=77, pivot=3)}, init_refutation(f))
+        with pytest.raises(KeyError) as info:
+            export_dot(g)
+        assert info.value.args == ("no node with id 77",)
+
 
 # ---------------------------------------------------------------------------
 # The trace parser reads its text a piece at a time.
@@ -830,8 +830,8 @@ BLOCK_COUNTS = [0, 1, _BLOCK - 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1
 
 def reference_trace(graph):
     lines = ["p trace\n"]
-    for nid in graph.nodes:
-        node = graph.nodes[nid]
+    for nid in graph.node_ids():
+        node = graph.node(nid)
         if node.is_source:
             head = "o %d" % nid
         else:
@@ -842,17 +842,17 @@ def reference_trace(graph):
 
 def reference_dot(graph):
     lines = ["digraph refutation {\n", "  rankdir=BT;\n"]
-    for nid in graph.nodes:
-        node = graph.nodes[nid]
+    for nid in graph.node_ids():
+        node = graph.node(nid)
         label = " ".join(map(str, node.clause)) or "empty"
         shape = "box" if node.is_source else "ellipse"
         lines.append('  n%d [label="%s", shape=%s];\n' % (nid, label, shape))
-    for nid in graph.nodes:
-        node = graph.nodes[nid]
+    for nid in graph.node_ids():
+        node = graph.node(nid)
         if node.is_source:
             continue
         for premise in (node.left, node.right):
-            polarity = -1 if node.pivot in graph.nodes[premise].clause else 1
+            polarity = -1 if node.pivot in graph.node(premise).clause else 1
             lines.append('  n%d -> n%d [label="%d"];\n' % (premise, nid, polarity * node.pivot))
     lines.append("}\n")
     return "".join(lines)
