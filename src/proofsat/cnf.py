@@ -1,9 +1,10 @@
 """CNF formulas and DIMACS I/O.
 
 Literals are DIMACS-style signed integers: +v is the positive literal of
-variable v, -v its negation.  Clause objects are immutable sets of literals
-with a deterministic iteration order; Formula holds a clause list addressed
-by 1-based clause ids.
+variable v, -v its negation.  A Clause is a tuple: its distinct literals,
+sorted by variable with the positive literal first, so it equals the plain
+tuple of those literals.  Formula holds a clause list addressed by 1-based
+clause ids.
 """
 from __future__ import annotations
 
@@ -17,67 +18,44 @@ Literal = int
 _BLOCK = 256  # pieces of output text joined into one block
 
 
-def _ordered(lits: Iterable[Literal]) -> Tuple[Literal, ...]:
-    """Literals sorted by variable index, the positive literal first: the
-    descending sort puts +v ahead of -v and the stable sort by variable
-    keeps it there."""
-    return tuple(sorted(sorted(lits, reverse=True), key=abs))
-
-
 def _tautological(lits: AbstractSet[Literal]) -> bool:
     """True when the set holds some literal together with its negation."""
     return not lits.isdisjoint(map(neg, lits))
 
 
-class Clause:
-    """An immutable disjunction of literals.
+class Clause(tuple):
+    """An immutable disjunction of literals: the tuple of its literals.
 
-    Duplicate literals collapse; iteration is sorted by variable index with
-    the positive literal first, so repr/trace output is deterministic.
-    Equality, hashing and membership work on that sorted tuple.
+    Duplicate literals collapse, and the literals are sorted by variable
+    index with the positive literal first, so repr/trace output is
+    deterministic.  Equality, hashing and membership are the tuple's, so a
+    clause equals the plain tuple of its sorted literals.
     """
 
-    __slots__ = ("_lits",)
+    __slots__ = ()
 
-    def __init__(self, literals: Iterable[Literal]):
+    def __new__(cls, literals: Iterable[Literal]) -> "Clause":
         lits = set()
         for lit in literals:
             if isinstance(lit, bool) or not isinstance(lit, int) or lit == 0:
                 raise ValueError("literal must be a nonzero integer, got %r" % (lit,))
             lits.add(lit)
-        self._lits = _ordered(lits)
+        # The descending sort puts +v ahead of -v; the stable sort by
+        # variable keeps it there.
+        return tuple.__new__(cls, sorted(sorted(lits, reverse=True), key=abs))
 
     @classmethod
     def _trusted(cls, lits: Iterable[Literal]) -> "Clause":
         """The clause over ``lits``: distinct nonzero ints, none with its
-        negation, so sorting by variable alone is ``_ordered``'s order."""
-        clause = object.__new__(cls)
-        clause._lits = tuple(sorted(lits, key=abs))
-        return clause
+        negation, so sorting by variable alone gives the clause's order."""
+        return tuple.__new__(cls, sorted(lits, key=abs))
 
     @property
     def literals(self) -> Tuple[Literal, ...]:
-        return self._lits
-
-    def __contains__(self, lit: Literal) -> bool:
-        return lit in self._lits
-
-    def __iter__(self) -> Iterator[Literal]:
-        return iter(self._lits)
-
-    def __len__(self) -> int:
-        return len(self._lits)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Clause):
-            return NotImplemented
-        return self._lits == other._lits
-
-    def __hash__(self) -> int:
-        return hash(self._lits)
+        return self
 
     def __repr__(self) -> str:
-        return "Clause(%s)" % (" ".join(str(l) for l in self._lits) or "empty")
+        return "Clause(%s)" % (" ".join(map(str, self)) or "empty")
 
 
 class Formula:
@@ -179,26 +157,24 @@ def parse_dimacs(text: str) -> Formula:
     seen_clauses = 0
     current: List[int] = []
     for line_no, raw in enumerate(_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "c":
             continue
-        if line.startswith("p"):
+        if tokens[0][0] == "p":
             if formula is not None:
                 raise ValueError("line %d: duplicate header" % line_no)
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise ValueError("line %d: malformed header %r" % (line_no, line))
+            if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != "cnf":
+                raise ValueError("line %d: malformed header %r" % (line_no, raw.strip()))
             try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
+                num_vars, num_clauses = int(tokens[2]), int(tokens[3])
             except ValueError:
-                raise ValueError("line %d: malformed header %r" % (line_no, line))
+                raise ValueError("line %d: malformed header %r" % (line_no, raw.strip()))
             if num_vars < 0 or num_clauses < 0:
                 raise ValueError("line %d: negative counts in header" % line_no)
             formula = Formula(num_vars)
             continue
         if formula is None:
             raise ValueError("line %d: clause data before header" % line_no)
-        tokens = line.split()
         try:
             values, bad = list(map(int, tokens)), None
         except ValueError:
@@ -222,10 +198,10 @@ def parse_dimacs(text: str) -> Formula:
                     raise ValueError(
                         "line %d: more clauses than the %d declared" % (line_no, num_clauses)
                     )
-                if _tautological(lits):
-                    formula.tautologies_dropped += 1
-                else:  # nonzero, in range, not tautological: add_clause's checks hold
+                if lits.isdisjoint(map(neg, lits)):  # nonzero, in range, not tautological
                     formula.clauses.append(Clause._trusted(lits))
+                else:
+                    formula.tautologies_dropped += 1
             else:
                 if abs(lit) > num_vars:
                     raise ValueError(
@@ -248,7 +224,7 @@ def parse_dimacs(text: str) -> Formula:
 
 def _dimacs_blocks(formula: Formula) -> Iterator[str]:
     header = "p cnf %d %d\n" % (formula.num_vars, len(formula))
-    lines = ("%s 0\n" % " ".join(map(str, clause._lits)) for clause in formula.clauses)
+    lines = ("%s 0\n" % " ".join(map(str, clause)) for clause in formula.clauses)
     return _blocks(chain((header,), lines))
 
 

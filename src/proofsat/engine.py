@@ -16,9 +16,9 @@ Three modes share one trail and two drivers:
   instance).
 * ``dll_strict`` and ``tae`` share one chronological driver with no proof
   bookkeeping: a conflict flips the deepest unflipped decision.
-  ``dll_strict`` tests the clause counters after every decision and
+  ``dll_strict`` tests the clause states after every decision and
   supports ``bcp`` alone; ``tae`` enumerates total assignments depth
-  first, testing the counters only once every variable is assigned, and
+  first, testing the states only once every variable is assigned, and
   supports no features.
 
 Verdicts agree across modes; only the work done, and the proof artifacts,
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .cnf import Clause, Formula, Literal, Variable
+from .cnf import Clause, Formula, Literal, Variable, _tautological
 from .proofs import RefutationGraph, _derive, _resolvent_set, check_refutation, init_refutation
 
 MODE_SSS = "sss"
@@ -252,19 +252,34 @@ class Solver:
         self.stats = Stats()
         self.outcome: Optional[SolveOutcome] = None
 
-        # Clause state, indexed by clause id - 1.
-        self.clause_lits: List[Tuple[Literal, ...]] = [
-            clause.literals for clause in self.formula.clauses
-        ]
-        # sat_count[i] / not_false[i]: how many literals of clause i are true
-        # / not false.  The clause is falsified when not_false[i] is 0, and
-        # unit-open when it is 1 and sat_count[i] is 0.
-        self.sat_count: List[int] = [0] * len(self.clause_lits)
-        self.not_false: List[int] = [len(lits) for lits in self.clause_lits]
-        # occ[lit]: indices of the clauses holding lit (occ[-v] counts from
-        # the end); a literal that no clause holds shares the empty tuple.
-        self.occ: List[Sequence[int]] = [()] * (2 * self.n + 1)
-        self._index(0)
+        # Clause state, indexed by clause id - 1; the clauses are the
+        # formula copy's own list, which clause recording appends to.
+        self.clauses: List[Clause] = self.formula.clauses
+        # state[i] = (not-false literals) + W * (true literals) of clause i,
+        # where W exceeds the length of every clause held: the clause is
+        # falsified when state[i] is 0, unit-open (no true literal, one
+        # unassigned) when it is 1, and satisfied when it is W or more.  W
+        # grows only with a longer recorded clause: a W of n + 1 pushed the
+        # words past CPython's cached small ints, 20% slower at n = 100.
+        self.state: List[int] = list(map(len, self.clauses))
+        self.W = 1 + max(self.state, default=0)
+        # occ[lit]: indices of the clauses holding lit, an exact-size tuple
+        # (occ[-v] counts from the end); a literal that no clause holds
+        # shares the empty tuple.
+        self.occ: List[Tuple[int, ...]] = [()] * (2 * self.n + 1)
+        occ, grown = self.occ, []  # literals held more than once: their lists become tuples
+        for i, clause in enumerate(self.clauses):
+            for lit in clause:
+                held = occ[lit]
+                if not held:
+                    occ[lit] = (i,)
+                elif held.__class__ is list:
+                    held.append(i)
+                else:
+                    occ[lit] = [*held, i]
+                    grown.append(lit)
+        for lit in grown:
+            occ[lit] = tuple(occ[lit])
         self.falsified: set = set()  # clause ids
         self.num_sat = 0
         # Candidates for bcp: a min-heap of clause indices with lazy
@@ -276,8 +291,8 @@ class Solver:
         # heap at most once.  Clauses become unit-open only in _push, _pop
         # and _flip_top, which queue them; input unit clauses start out
         # queued (listed in ascending order, which is already a heap).
-        self.unit_heap: List[int] = [i for i, k in enumerate(self.not_false) if k == 1]
-        self.unit_queued = bytearray(len(self.clause_lits))
+        self.unit_heap: List[int] = [i for i, k in enumerate(self.state) if k == 1]
+        self.unit_queued = bytearray(len(self.clauses))
         for i in self.unit_heap:
             self.unit_queued[i] = 1
 
@@ -294,7 +309,7 @@ class Solver:
         # Proof bookkeeping (sss only): input clause k is proof node k, and
         # recorded_node maps a recorded clause's id to its derivation's node.
         self.graph = init_refutation(self.formula) if self.config.mode == MODE_SSS else None
-        self.num_inputs = len(self.clause_lits)  # nodes 1..num_inputs are sources
+        self.num_inputs = len(self.clauses)  # nodes 1..num_inputs are sources
         self.recorded_node: Dict[int, int] = {}
         self.recorded_nodes: set = set()
         # Resolvents credited as pruned, and those already consumed as a
@@ -337,22 +352,23 @@ class Solver:
         self.val[var] = value
         self.level_of[var] = d
         lit = var if value else -var
-        sat_count, not_false = self.sat_count, self.not_false
+        state, W = self.state, self.W
         newly_sat = 0
         for i in self.occ[lit]:
-            if not sat_count[i]:
+            s = state[i]
+            if s < W:
                 newly_sat += 1
-            sat_count[i] += 1
+            state[i] = s + W
         self.num_sat += newly_sat
         # After the true occurrences, so a clause holding v and -v is tested
-        # against its final sat count.
+        # against its final state.
         queued, falsified = self.unit_queued, self.falsified
         for i in self.occ[-lit]:
-            k = not_false[i] - 1
-            not_false[i] = k
-            if not k:
+            s = state[i] - 1
+            state[i] = s
+            if not s:
                 falsified.add(i + 1)
-            elif k == 1 and not sat_count[i] and not queued[i]:
+            elif s == 1 and not queued[i]:
                 queued[i] = 1
                 heappush(self.unit_heap, i)
 
@@ -361,24 +377,24 @@ class Solver:
         d = self.d
         var = self.trail_var[d]
         lit = var if self.val[var] else -var
-        sat_count, not_false, queued = self.sat_count, self.not_false, self.unit_queued
+        state, W, queued = self.state, self.W, self.unit_queued
         for i in self.occ[-lit]:
-            k = not_false[i]
-            not_false[i] = k + 1
-            if not k:  # falsified, so it had no true literal: now unit-open
+            s = state[i]
+            state[i] = s + 1
+            if not s:  # falsified, now unit-open
                 self.falsified.discard(i + 1)
                 if not queued[i]:
                     queued[i] = 1
                     heappush(self.unit_heap, i)
         # After the false occurrences, so a clause holding v and -v is tested
-        # against its final not-false count.
+        # against its final state.
         newly_unsat = 0
         for i in self.occ[lit]:
-            left = sat_count[i] - 1
-            sat_count[i] = left
-            if not left:
+            s = state[i] - W
+            state[i] = s
+            if s < W:
                 newly_unsat += 1
-                if not_false[i] == 1 and not queued[i]:
+                if s == 1 and not queued[i]:
                     queued[i] = 1
                     heappush(self.unit_heap, i)
         self.num_sat -= newly_unsat
@@ -392,30 +408,29 @@ class Solver:
     def _flip_top(self) -> None:
         """Flip the current level's variable in one pass over its two
         occurrence lists.  The clauses its literal turns true come first,
-        so a clause holding v and -v never reaches 0 in either count."""
+        so the state of a clause holding v and -v never dips mid-flip."""
         d = self.d
         var = self.trail_var[d]
         lit = -var if self.val[var] else var  # the literal the flip makes true
-        sat_count, not_false, falsified = self.sat_count, self.not_false, self.falsified
+        state, W, falsified = self.state, self.W, self.falsified
+        up = W + 1  # one more true literal and one more not-false one
         newly_sat = 0
         for i in self.occ[lit]:
-            if not sat_count[i]:
+            s = state[i]
+            if s < W:
                 newly_sat += 1
-                if not not_false[i]:
+                if not s:
                     falsified.discard(i + 1)
-            sat_count[i] += 1
-            not_false[i] += 1
+            state[i] = s + up
         queued = self.unit_queued
         for i in self.occ[-lit]:
-            s = sat_count[i] - 1
-            sat_count[i] = s
-            k = not_false[i] - 1
-            not_false[i] = k
-            if not s:  # a clause with a true literal has k > 0
+            s = state[i] - up
+            state[i] = s
+            if s < W:
                 newly_sat -= 1
-                if not k:
+                if not s:
                     falsified.add(i + 1)
-                elif k == 1 and not queued[i]:
+                elif s == 1 and not queued[i]:
                     queued[i] = 1
                     heappush(self.unit_heap, i)
         self.num_sat += newly_sat
@@ -446,15 +461,14 @@ class Solver:
         Every unit-open clause is queued in ``unit_heap`` (see __init__), so
         once the stale entries above it are dropped, the heap's top is the
         lowest-id unit-open clause.  The top itself stays queued."""
-        heap, queued = self.unit_heap, self.unit_queued
-        sat_count, not_false = self.sat_count, self.not_false
+        heap, queued, state = self.unit_heap, self.unit_queued, self.state
         while heap:
             i = heap[0]
-            if not sat_count[i] and not_false[i] == 1:
+            if state[i] == 1:
                 break
             heappop(heap)
             queued[i] = 0
-        pick = self._unit_assignment(self.clause_lits[heap[0]]) if heap else None
+        pick = self._unit_assignment(self.clauses[heap[0]]) if heap else None
         if self.config.debug_checks:
             self._check_bcp_pick(pick)
         return pick
@@ -511,7 +525,7 @@ class Solver:
         agree.  A bcp decision conflicts on its unit clause at once, and the
         level it opens is the deepest unflipped one."""
         leaves_only = self.config.mode == MODE_TAE
-        total = len(self.clause_lits)
+        total = len(self.clauses)
         while True:
             if self.num_sat == total and (not leaves_only or self.d == self.n):
                 yield self._finish_sat()
@@ -550,7 +564,7 @@ class Solver:
             yield (kind, var if value else -var)
             top = self.d + 1  # the level of the flip, a bcp decision's not pushed yet
             if not clause_id:
-                if self.num_sat == len(self.clause_lits):
+                if self.num_sat == len(self.clauses):
                     yield self._finish_sat()
                     return
                 if not self.falsified:
@@ -562,16 +576,25 @@ class Solver:
             # clause _backtrack returns) as the parent and flip; search
             # resumes once a flip falsifies nothing.
             parent_node = self.recorded_node.get(clause_id, clause_id)
-            parent_lits = self.clause_lits[clause_id - 1]
+            parent_lits = self.clauses[clause_id - 1]
             while True:
                 yield (ConflictFound, clause_id)
                 self.stats.conflicts += 1
                 d = top
-                if cfg.ncb:
+                # A bcp decision's flip (top == self.d + 1) stays at top, so
+                # ncb skips it: every level above its unit clause's other
+                # literals is flipped, as a free decision is made only when
+                # no clause is unit-open and the levels below it stay put.
+                if cfg.ncb and top <= self.d:
                     move = self._ncb_target(parent_lits, var, top)
                     if move is not None:
                         yield (NcbJump, *move)
                         d = move[1]
+                elif cfg.ncb and cfg.debug_checks:
+                    others = (abs(q) for q in parent_lits if abs(q) != var)
+                    g = max(map(self.level_of.__getitem__, others), default=0)
+                    if not all(self.trail_flipped[g + 1 : top]):
+                        raise InvariantViolation("unflipped level below bcp flip at %d" % top)
                 if cfg.debug_checks and self.trail_parent[d] not in (0, parent_node):
                     raise InvariantViolation(
                         "level %d parent pre-set to node %d but pinned to %d"
@@ -612,7 +635,7 @@ class Solver:
         reaches it, so no unflipped level is popped holding a parent."""
         cfg = self.config
         np_node = self.recorded_node.get(np_clause_id, np_clause_id)
-        np_lits = self.clause_lits[np_clause_id - 1]
+        np_lits = self.clauses[np_clause_id - 1]
         while self.d > 0:
             d = self.d
             var = self.trail_var[d]
@@ -750,30 +773,28 @@ class Solver:
     def _ccr_record(self, np_node: int, np_lits: Tuple[Literal, ...]) -> int:
         """Append the clause where _backtrack stopped at d > 0; return its
         id.  The prefix falsifies it there and no instance clause, so it is
-        new and starts falsified, which keeps it out of the bcp heap until
-        _pop or _flip_top un-falsifies it."""
-        i = len(self.clause_lits)
-        cid = i + 1
-        self.clause_lits.append(np_lits)
-        self.sat_count.append(0)
-        self.not_false.append(0)
+        new, holds distinct literals of in-range variables, none with its
+        negation, and starts falsified, which keeps it out of the bcp heap
+        until _pop or _flip_top un-falsifies it."""
+        i = len(self.clauses)
+        clause = Clause._trusted(np_lits)
+        if self.config.debug_checks and (  # Formula raises ValueError on a bad literal
+            Formula(self.n, [np_lits]).clauses != [clause]
+            or _tautological(set(clause))
+        ):
+            raise InvariantViolation("recorded clause %d is %r" % (i + 1, np_lits))
+        if len(clause) >= self.W:  # widen the base of every state word
+            old, self.W = self.W, len(clause) + 1
+            self.state[:] = [s % old + self.W * (s // old) for s in self.state]
+        self.clauses.append(clause)
+        self.state.append(0)
         self.unit_queued.append(0)
-        self._index(i)
-        self.falsified.add(cid)
-        self.recorded_node[cid] = np_node
+        for lit in clause:
+            self.occ[lit] += (i,)
+        self.falsified.add(i + 1)
+        self.recorded_node[i + 1] = np_node
         self.recorded_nodes.add(np_node)
-        self.formula.add_clause(Clause(np_lits))
-        return cid
-
-    def _index(self, start: int) -> None:
-        """Index clauses start.. by literal, creating each list on first use."""
-        occ = self.occ
-        for i in range(start, len(self.clause_lits)):
-            for lit in self.clause_lits[i]:
-                if occ[lit]:
-                    occ[lit].append(i)
-                else:
-                    occ[lit] = [i]
+        return i + 1
 
     # -- pruning accounting ----------------------------------------------
 
@@ -809,7 +830,7 @@ class Solver:
             for v in range(1, self.n + 1)
         }
         if self.config.debug_checks:
-            self._check_counts(range(len(self.clause_lits)))
+            self._check_counts(range(len(self.clauses)))
             if not verify_model(self.formula, model):
                 raise InvariantViolation("satisfying assignment fails verification")
             self._check_graph_closed()
@@ -825,7 +846,7 @@ class Solver:
 
     def _finish_unsat(self, root: Optional[int]) -> tuple:
         if self.config.debug_checks:
-            self._check_counts(range(len(self.clause_lits)))
+            self._check_counts(range(len(self.clauses)))
         proof = None
         if self.graph is not None and root is not None:
             proof = self.graph.extract_derivation(root)
@@ -884,14 +905,14 @@ class Solver:
     def _check_bcp_pick(self, pick: Optional[Tuple[Variable, bool]]) -> None:
         """The heap's pick must equal a scan of every clause for the
         lowest-id unit-open one, and the heap never holds a clause twice."""
-        if len(self.unit_heap) > len(self.clause_lits):
+        if len(self.unit_heap) > len(self.clauses):
             raise InvariantViolation(
                 "bcp heap holds %d entries for %d clauses"
-                % (len(self.unit_heap), len(self.clause_lits))
+                % (len(self.unit_heap), len(self.clauses))
             )
         expected = None
-        for i, lits in enumerate(self.clause_lits):
-            if self.sat_count[i] == 0 and self.not_false[i] == 1:
+        for i, lits in enumerate(self.clauses):
+            if self.state[i] == 1:
                 expected = self._unit_assignment(lits)
                 break
         if pick != expected:
@@ -968,24 +989,24 @@ class Solver:
 
     def _check_counts(self, indices: Iterable[int]) -> None:
         """Recount from ``val`` the true and not-false literals of the
-        clauses at ``indices``, and from the counters of every clause the
-        satisfied and the falsified ones.  Runs after each flip, which
-        follows every conflict, and at the finish."""
-        val, sat_count, not_false = self.val, self.sat_count, self.not_false
+        clauses at ``indices`` against their state words, and from the
+        words of every clause the satisfied and the falsified ones.  Runs
+        after each flip, which follows every conflict, and at the finish."""
+        val, state, W = self.val, self.state, self.W
         for i in indices:
             true = left = 0
-            for q in self.clause_lits[i]:
+            for q in self.clauses[i]:
                 value = val[abs(q)]
                 if value is None or value == (q > 0):
                     left += 1
                     true += value is not None
-            held, recount = (sat_count[i], not_false[i]), (true, left)
-            if held != recount:
-                raise InvariantViolation("clause %d counts %r, recount %r" % (i + 1, held, recount))
+            if state[i] != left + W * true or left >= W:
+                held, recount = state[i], "%d + %d * %d" % (left, W, true)
+                raise InvariantViolation("clause %d state %d, recount %s" % (i + 1, held, recount))
         if (
-            len(sat_count) - sat_count.count(0) != self.num_sat
-            or not_false.count(0) != len(self.falsified)
-            or any(not_false[i - 1] for i in self.falsified)
+            sum(s >= W for s in state) != self.num_sat
+            or state.count(0) != len(self.falsified)
+            or any(state[i - 1] for i in self.falsified)
         ):
             raise InvariantViolation("satisfied or falsified clauses miscounted")
 

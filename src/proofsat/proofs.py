@@ -122,7 +122,7 @@ def _source(formula: Formula, nid: int, lits: Set[Literal]) -> Clause:
         clause = formula.clause(nid)
     except KeyError:
         raise ValueError("no formula clause with id %d" % nid) from None
-    if not _same_literals(lits, clause._lits):
+    if not _same_literals(lits, clause):
         raise ValueError("literals differ from formula clause %d" % nid)
     return clause
 
@@ -186,7 +186,7 @@ class RefutationGraph:
         id, with None stored as ``_NONE`` and row -1 for a reserved source."""
         sources = self._sources
         reserved = (
-            (-1, nid, _NONE, _NONE, _NONE, sources[nid - 1]._lits)
+            (-1, nid, _NONE, _NONE, _NONE, sources[nid - 1])
             for nid in compress(range(self._reserved + 1), self._src_filed)
         )
         live = self._live
@@ -200,7 +200,7 @@ class RefutationGraph:
         """(row, literals) of node ``nid``: row -1 for a reserved source,
         and (-1, None) when ``nid`` is not filed."""
         if 0 < nid <= self._reserved:
-            return -1, (self._sources[nid - 1]._lits if self._src_filed[nid] else None)
+            return -1, (self._sources[nid - 1] if self._src_filed[nid] else None)
         r = self._row(nid)
         if r < 0:
             return r, None
@@ -296,7 +296,7 @@ class RefutationGraph:
         mirrors.  Raises ValueError if the id is taken, out of range, or
         below an id already filed."""
         nid = self._claim_id(node_id)
-        self._file(nid, _NONE, _NONE, _NONE, clause._lits)
+        self._file(nid, _NONE, _NONE, _NONE, clause)
         return nid
 
     def _file_derived(
@@ -309,8 +309,8 @@ class RefutationGraph:
         nid = self._claim_id(node_id)
         reserved, sources, locate = self._reserved, self._sources, self._locate
         try:  # a reserved source is read even before it is filed
-            left = sources[left_id - 1]._lits if 0 < left_id <= reserved else locate(left_id)[1]
-            right = sources[right_id - 1]._lits if 0 < right_id <= reserved else locate(right_id)[1]
+            left = sources[left_id - 1] if 0 < left_id <= reserved else locate(left_id)[1]
+            right = sources[right_id - 1] if 0 < right_id <= reserved else locate(right_id)[1]
         except TypeError:  # an id that is not an int names no node
             left = right = None
         lits = _derive(nid, left_id, right_id, pivot_var, left, right)

@@ -90,7 +90,7 @@ def reference_check_refutation(graph: RefutationGraph, formula: Formula) -> Chec
             empty_id = nid
         try:
             if node.is_source:
-                _source(formula, nid, set(node.clause._lits))
+                _source(formula, nid, set(node.clause))
                 continue
             size += 1
             premises = [nodes[p].clause.literals if p in nodes else None

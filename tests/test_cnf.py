@@ -1,4 +1,6 @@
 """Clause/Formula containers and DIMACS round trips."""
+import pickle
+
 import pytest
 
 from proofsat import Clause, Formula, gen_random_kcnf, parse_dimacs, write_dimacs
@@ -40,6 +42,18 @@ class TestClause:
         assert Clause([1, 2]) == Clause([2, 1, 1])
         assert Clause([1, 2]) != Clause([1, -2])
         assert hash(Clause([1, 2])) == hash(Clause([2, 1]))
+
+    def test_a_clause_is_the_tuple_of_its_sorted_literals(self):
+        c = Clause([2, -3, 1, 2])
+        assert isinstance(c, tuple) and not hasattr(c, "__dict__")
+        assert c.literals is c
+        assert c == (1, 2, -3) and hash(c) == hash((1, 2, -3))
+        assert Clause([-3, 2, 1]) == c and hash(Clause([-3, 2, 1])) == hash(c)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(c, protocol))
+            assert type(back) is Clause and back == c
+        assert repr(c) == "Clause(1 2 -3)" and repr(Clause([])) == "Clause(empty)"
+        assert Clause._trusted({3, -1, 2}) == Clause([3, -1, 2]) == (-1, 2, 3)
 
 
 class TestFormula:
