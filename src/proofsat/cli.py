@@ -11,7 +11,7 @@ import csv
 import sys
 import time
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, product
 from typing import List, Optional, Sequence, TextIO, Tuple
 
 from .cnf import Formula, _blocks, _dimacs_blocks, parse_dimacs
@@ -35,13 +35,16 @@ EXIT_USAGE = 2
 
 _MODES = {"sss": MODE_SSS, "dll": MODE_DLL, "tae": MODE_TAE}
 
-_RANDOM_SWEEP_COMBOS = [
-    (bcp, ncb, cdb, ccr)
-    for bcp in (False, True)
-    for ncb in (False, True)
-    for cdb in (False, True)
-    for ccr in (False, True)
-]
+_RANDOM_SWEEP_COMBOS = list(product((False, True), repeat=4))
+
+# The flag and help text of each SolverConfig feature field, in label order.
+_FEATURE_FLAGS = {
+    "bcp": ("--bcp", "unit-driven decisions"),
+    "ncb": ("--ncb", "non-chronological re-seating"),
+    "ncb_left_adjust": ("--ncb-left-adjust", "raise the re-seat target to the next unflipped level"),
+    "cdb_1uip": ("--cdb", "substitute the block variable after a pop"),
+    "ccr": ("--ccr", "record backtracking clauses"),
+}
 
 
 @dataclass
@@ -84,20 +87,6 @@ def _read_formula(path: str) -> Formula:
     return parse_dimacs(_read_text(path))
 
 
-def _config_label(config: SolverConfig) -> str:
-    label = config.mode
-    for name, tag in (
-        ("bcp", "bcp"),
-        ("ncb", "ncb"),
-        ("ncb_left_adjust", "ncbla"),
-        ("cdb_1uip", "cdb"),
-        ("ccr", "ccr"),
-    ):
-        if getattr(config, name):
-            label += "+" + tag
-    return label
-
-
 def _build_config(args: argparse.Namespace) -> SolverConfig:
     order: tuple = ()
     if args.order is not None:
@@ -115,11 +104,7 @@ def _build_config(args: argparse.Namespace) -> SolverConfig:
                 raise ValueError("--%s needs mode sss" % flag)
     return SolverConfig(
         mode=_MODES[args.mode],
-        bcp=args.bcp,
-        ncb=args.ncb,
-        ncb_left_adjust=args.ncb_left_adjust,
-        cdb_1uip=args.cdb,
-        ccr=args.ccr,
+        **{name: getattr(args, name) for name in _FEATURE_FLAGS},
         order=order,
         seed=args.seed,
     )
@@ -165,6 +150,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.cnf == args.trace == "-":
+        return _fail("the CNF and the trace cannot both be read from stdin")
     try:
         formula = _read_formula(args.cnf)
     except OSError as exc:
@@ -222,7 +209,7 @@ def _bench_run(formula: Formula, config: SolverConfig, family: str) -> BenchRow:
     wall_ms = (time.perf_counter() - start) * 1000.0
     return BenchRow(
         family=family,
-        config=_config_label(config),
+        config=config.label,
         verdict=outcome.verdict,
         decisions=outcome.stats.decisions,
         flips=outcome.stats.flips,
@@ -323,20 +310,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=sorted(_MODES), default="sss")
-    parser.add_argument("--bcp", action="store_true", help="unit-driven decisions")
-    parser.add_argument("--ncb", action="store_true", help="non-chronological re-seating")
-    parser.add_argument(
-        "--ncb-left-adjust",
-        action="store_true",
-        dest="ncb_left_adjust",
-        help="raise the re-seat target to the next unflipped level",
-    )
-    parser.add_argument(
-        "--cdb", action="store_true", help="substitute the block variable after a pop"
-    )
-    parser.add_argument(
-        "--ccr", action="store_true", help="record backtracking clauses"
-    )
+    for name, (flag, text) in _FEATURE_FLAGS.items():
+        parser.add_argument(flag, action="store_true", dest=name, help=text)
     parser.add_argument("--order", help="comma-separated fixed variable order")
     parser.add_argument("--seed", type=int, help="random decision heuristic seed")
 

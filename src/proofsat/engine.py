@@ -141,6 +141,16 @@ StepEvent = Union[
 # --------------------------------------------------------------------------
 # Configuration, statistics, outcome
 
+# The features, in label order: each one's SolverConfig field, its tag in
+# SolverConfig.label and the modes that support it.
+FEATURES = (
+    ("bcp", "bcp", (MODE_SSS, MODE_DLL)),
+    ("ncb", "ncb", (MODE_SSS,)),
+    ("ncb_left_adjust", "ncbla", (MODE_SSS,)),
+    ("cdb_1uip", "cdb", (MODE_SSS,)),
+    ("ccr", "ccr", (MODE_SSS,)),
+)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -167,14 +177,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError("unknown mode %r" % (self.mode,))
-        if self.mode == MODE_TAE:
-            for name in ("bcp", "ncb", "ncb_left_adjust", "cdb_1uip", "ccr"):
-                if getattr(self, name):
-                    raise ValueError("mode tae does not support %s" % name)
-        if self.mode == MODE_DLL:
-            for name in ("ncb", "ncb_left_adjust", "cdb_1uip", "ccr"):
-                if getattr(self, name):
-                    raise ValueError("mode dll_strict does not support %s" % name)
+        for name, _, modes in FEATURES:
+            if getattr(self, name) and self.mode not in modes:
+                raise ValueError("mode %s does not support %s" % (self.mode, name))
         if self.ncb_left_adjust and not self.ncb:
             raise ValueError("ncb_left_adjust requires ncb")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, type(None))):
@@ -188,6 +193,12 @@ class SolverConfig:
                 )
         if len(set(self.order)) != len(self.order):
             raise ValueError("order list contains duplicates")
+
+    @property
+    def label(self) -> str:
+        """The mode and the tags of the features on, joined by "+", as in
+        ``sss+bcp+cdb``."""
+        return "+".join([self.mode, *(tag for name, tag, _ in FEATURES if getattr(self, name))])
 
 
 @dataclass
@@ -825,54 +836,37 @@ class Solver:
     # -- termination ------------------------------------------------------
 
     def _finish_sat(self) -> tuple:
-        model = {
-            v: (self.val[v] if self.val[v] is not None else False)
-            for v in range(1, self.n + 1)
-        }
-        if self.config.debug_checks:
-            self._check_counts(range(len(self.clauses)))
-            if not verify_model(self.formula, model):
-                raise InvariantViolation("satisfying assignment fails verification")
-            self._check_graph_closed()
-        self.outcome = SolveOutcome(
-            verdict=VERDICT_SAT,
-            stats=self.stats,
-            model=model,
-            graph=self.graph,
-            instance=self.formula,
-        )
-        self._release()
-        return (Sat,)
+        model = {v: bool(self.val[v]) for v in range(1, self.n + 1)}  # unassigned: False
+        if self.config.debug_checks and not verify_model(self.formula, model):
+            raise InvariantViolation("satisfying assignment fails verification")
+        return self._finish(SolveOutcome(VERDICT_SAT, self.stats, model=model))
 
     def _finish_unsat(self, root: Optional[int]) -> tuple:
-        if self.config.debug_checks:
-            self._check_counts(range(len(self.clauses)))
         proof = None
         if self.graph is not None and root is not None:
             proof = self.graph.extract_derivation(root)
             self.stats.final_proof_size = proof.size
             if self.config.debug_checks:
                 self._check_pruning_partition(proof)
-                self._check_graph_closed()
                 report = check_refutation(proof, self.formula)
                 if not (report.valid and report.complete):
                     raise InvariantViolation(
                         "extracted refutation fails checking: %s" % report.problems
                     )
                 if not self.config.ccr and not report.tree_like:
-                    raise InvariantViolation(
-                        "refutation is not tree-like without clause recording"
-                    )
-        self.outcome = SolveOutcome(
-            verdict=VERDICT_UNSAT,
-            stats=self.stats,
-            proof=proof,
-            graph=self.graph,
-            root=root,
-            instance=self.formula,
-        )
+                    raise InvariantViolation("refutation is not tree-like without clause recording")
+        return self._finish(SolveOutcome(VERDICT_UNSAT, self.stats, proof=proof, root=root))
+
+    def _finish(self, outcome: SolveOutcome) -> tuple:
+        """Run the checks every finished run shares, keep ``outcome`` with the
+        graph and the instance, drop the search state and return the end event."""
+        if self.config.debug_checks:
+            self._check_counts(range(len(self.clauses)))
+            self._check_graph_closed()
+        outcome.graph, outcome.instance = self.graph, self.formula
+        self.outcome = outcome
         self._release()
-        return (Unsat,)
+        return (Sat if outcome.verdict == VERDICT_SAT else Unsat,)
 
     def _release(self) -> None:
         """Drop the search state; keep the configuration and the outcome."""

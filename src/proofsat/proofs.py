@@ -196,11 +196,14 @@ class RefutationGraph:
         fields = (compress(column, live) for column in (count(), *self._columns()[:4]))
         return chain(reserved, zip(*fields, runs))
 
-    def _locate(self, nid: int) -> Tuple[int, Optional[Sequence[Literal]]]:
-        """(row, literals) of node ``nid``: row -1 for a reserved source,
-        and (-1, None) when ``nid`` is not filed."""
+    def _locate(self, nid: object) -> Tuple[int, Optional[Sequence[Literal]]]:
+        """(row, literals) of node ``nid``, the one way every read resolves
+        an id: (-1, None) for an id that is not an int or names no row, and
+        row -1 with its clause for a reserved source, filed or not."""
+        if not isinstance(nid, int):
+            return -1, None
         if 0 < nid <= self._reserved:
-            return -1, (self._sources[nid - 1] if self._src_filed[nid] else None)
+            return -1, self._sources[nid - 1]
         r = self._row(nid)
         if r < 0:
             return r, None
@@ -304,15 +307,11 @@ class RefutationGraph:
     ) -> Tuple[int, Set[Literal]]:
         """The checked filing step of ``add_node`` and ``parse_trace``: claim
         the id, read the premises, derive the resolvent by the rules of
-        ``_derive`` and file it, keeping the ``_derived`` mark.  Returns the
-        id and the derived literal set."""
+        ``_derive`` and file it, keeping the ``_derived`` mark.  A premise
+        id that is not an int reads as not filed, as in every read.
+        Returns the id and the derived literal set."""
         nid = self._claim_id(node_id)
-        reserved, sources, locate = self._reserved, self._sources, self._locate
-        try:  # a reserved source is read even before it is filed
-            left = sources[left_id - 1] if 0 < left_id <= reserved else locate(left_id)[1]
-            right = sources[right_id - 1] if 0 < right_id <= reserved else locate(right_id)[1]
-        except TypeError:  # an id that is not an int names no node
-            left = right = None
+        left, right = self._locate(left_id)[1], self._locate(right_id)[1]
         lits = _derive(nid, left_id, right_id, pivot_var, left, right)
         self._file(nid, left_id, right_id, pivot_var, lits)
         return nid, lits
@@ -354,10 +353,7 @@ class RefutationGraph:
     def prune(self, node_id: int) -> Optional[Tuple[int, int]]:
         """Unfile resolvent ``node_id`` and return its premises; None, and
         no change, when ``node_id`` is not a filed resolvent."""
-        try:
-            r = self._row(node_id) if node_id > self._reserved else -1
-        except TypeError:  # an id that is not an int names no node
-            return None
+        r = self._row(node_id) if isinstance(node_id, int) else -1  # a reserved source has no row
         if r < 0 or self._left[r] == _NONE:
             return None
         premises = self._left[r], self._right[r]
@@ -369,8 +365,8 @@ class RefutationGraph:
     def _read(self, node_id: object) -> Tuple[int, Sequence[Literal]]:
         """``_locate`` for a filed node: raises KeyError naming ``node_id``
         when it is not one, or not an int."""
-        r, lits = self._locate(node_id) if isinstance(node_id, int) else (-1, None)
-        if lits is None:
+        r, lits = self._locate(node_id)
+        if lits is None or (r < 0 and not self._src_filed[node_id]):
             raise KeyError("no node with id %r" % (node_id,))
         return r, lits
 

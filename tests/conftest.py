@@ -179,7 +179,7 @@ def sweep(tmp_path_factory):
     ]
     configs.append(SolverConfig(mode=MODE_TAE, debug_checks=True))
     configs.append(SolverConfig(mode=MODE_DLL, debug_checks=True))
-    configs = [(proofsat_cli._config_label(config), config) for config in configs]
+    configs = [(config.label, config) for config in configs]
     records = []
     violations = []
     start = time.perf_counter()

@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, output conventions, file handling."""
+import dataclasses
 import hashlib
 import io
 import os
@@ -17,7 +18,8 @@ from proofsat import (
     solve,
     write_dimacs,
 )
-from proofsat.cli import main
+from proofsat.cli import _FEATURE_FLAGS, main
+from proofsat.engine import FEATURES
 
 from conftest import make_base_formula
 from test_proofs import LONG_FORMULA, SHARED_TRACE
@@ -134,6 +136,23 @@ class TestSolve:
         assert main(["solve", str(base_cnf), "--bcp", "--ncb", "--cdb", "--ccr"]) == 20
         capsys.readouterr()
 
+    def test_feature_flags_cover_the_engine_features(self):
+        assert list(_FEATURE_FLAGS) == [name for name, _, _ in FEATURES]
+
+    def test_every_sss_feature_flag_reaches_the_run(self, tmp_path, capsys):
+        # A formula on which ncb_left_adjust changes the counters, so the
+        # printed Stats show that each flag reached the configuration.
+        formula = gen_random_kcnf(10, 43, 3, 3)
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(write_dimacs(formula))
+        args = ["solve", str(cnf), "--ncb", "--ncb-left-adjust", "--cdb", "--ccr", "--stats"]
+        assert main(args) == 20
+        config = SolverConfig(ncb=True, ncb_left_adjust=True, cdb_1uip=True, ccr=True)
+        stats = solve(formula, config).stats
+        assert stats != solve(formula, dataclasses.replace(config, ncb_left_adjust=False)).stats
+        lines = "".join("c %s %d\n" % item for item in stats.as_dict().items())
+        assert capsys.readouterr().out == "s UNSATISFIABLE\n" + lines
+
     def test_hook_flags_rejected_outside_graph_mode(self, base_cnf, tmp_path, capsys):
         trace = tmp_path / "t"
         assert main(["solve", str(base_cnf), "--mode", "dll", "--proof", str(trace)]) == 2
@@ -231,6 +250,15 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "c trace rejected:" in out
         assert "s PROOF FAIL" in out
+
+    def test_cnf_and_trace_both_from_stdin_is_a_usage_error(self, capsys, monkeypatch):
+        # One stdin cannot hold both texts: refused before either is read.
+        monkeypatch.setattr("sys.stdin", io.StringIO(BASE_DIMACS))
+        assert main(["check", "-", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the CNF and the trace cannot both be read from stdin\n"
+        assert sys.stdin.read() == BASE_DIMACS
 
     def test_cnf_errors_are_usage_errors(self, tmp_path, capsys):
         trace = tmp_path / "t.trace"

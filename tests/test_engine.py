@@ -31,7 +31,7 @@ from proofsat import (
     solve,
     verify_model,
 )
-from proofsat.cli import _RANDOM_SWEEP_COMBOS, _config_label
+from proofsat.cli import _RANDOM_SWEEP_COMBOS
 from proofsat.engine import MODE_DLL, MODE_SSS, MODE_TAE
 
 from conftest import make_base_formula
@@ -476,7 +476,7 @@ class TestStepApi:
             assert export_trace(out.proof) == export_trace(solved.proof)
             assert solver.step() is None
 
-    @pytest.mark.parametrize("config", SWEEP_CONFIGS, ids=_config_label)
+    @pytest.mark.parametrize("config", SWEEP_CONFIGS, ids=lambda config: config.label)
     def test_step_yields_event_objects_in_every_configuration(self, config):
         events = list(iter(Solver(make_base_formula(), config).step, None))
         assert events
@@ -518,6 +518,51 @@ class TestConfigValidation:
     def test_invalid_configs_rejected(self, kw):
         with pytest.raises(ValueError):
             SolverConfig(**kw)
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"mode": MODE_TAE, "bcp": True}, "mode tae does not support bcp"),
+            ({"mode": MODE_TAE, "ncb": True}, "mode tae does not support ncb"),
+            ({"mode": MODE_TAE, "ncb_left_adjust": True}, "mode tae does not support ncb_left_adjust"),
+            ({"mode": MODE_TAE, "cdb_1uip": True}, "mode tae does not support cdb_1uip"),
+            ({"mode": MODE_TAE, "ccr": True}, "mode tae does not support ccr"),
+            ({"mode": MODE_TAE, "bcp": True, "ccr": True}, "mode tae does not support bcp"),
+            ({"mode": MODE_DLL, "ncb": True}, "mode dll_strict does not support ncb"),
+            (
+                {"mode": MODE_DLL, "ncb_left_adjust": True},
+                "mode dll_strict does not support ncb_left_adjust",
+            ),
+            ({"mode": MODE_DLL, "cdb_1uip": True}, "mode dll_strict does not support cdb_1uip"),
+            ({"mode": MODE_DLL, "ccr": True}, "mode dll_strict does not support ccr"),
+            (
+                {"mode": MODE_DLL, "bcp": True, "cdb_1uip": True, "ccr": True},
+                "mode dll_strict does not support cdb_1uip",
+            ),
+            ({"ncb_left_adjust": True}, "ncb_left_adjust requires ncb"),
+        ],
+    )
+    def test_each_rejection_names_its_rule(self, kw, message):
+        # The first feature a mode lacks, in label order, is the one named.
+        with pytest.raises(ValueError) as info:
+            SolverConfig(**kw)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "kw, label",
+        [
+            ({}, "sss"),
+            ({"bcp": True, "cdb_1uip": True}, "sss+bcp+cdb"),
+            (
+                {"bcp": True, "ncb": True, "ncb_left_adjust": True, "cdb_1uip": True, "ccr": True},
+                "sss+bcp+ncb+ncbla+cdb+ccr",
+            ),
+            ({"mode": MODE_DLL, "bcp": True}, "dll_strict+bcp"),
+            ({"mode": MODE_TAE, "order": (2, 1)}, "tae"),
+        ],
+    )
+    def test_label_names_the_mode_and_its_features(self, kw, label):
+        assert SolverConfig(**kw).label == label
 
     def test_dll_allows_bcp(self):
         out, _ = run(make_base_formula(), mode=MODE_DLL, bcp=True)
@@ -596,7 +641,7 @@ class TestCounters:
             for config in SWEEP_CONFIGS[:16]:
                 config = dataclasses.replace(config, debug_checks=True)
                 out = solve(formula, config)
-                assert out.verdict == expected, (seed, _config_label(config))
+                assert out.verdict == expected, (seed, config.label)
                 assert out.stats.flips > 0
             verdicts.add(expected)
         assert verdicts == {"SAT", "UNSAT"}

@@ -530,17 +530,24 @@ class TestNodeStore:
         assert 5 in g and 9 not in g and "5" not in g
 
     def test_missing_ids_name_themselves(self):
-        # An id that is not filed, or not an int, names no node: both reads
-        # say so, and prune changes nothing.
+        # An id that is not filed, or not an int, names no node, on a graph
+        # with reserved sources and on a plain one: both reads say so,
+        # prune changes nothing, and as a premise it is not defined.
         f = make_base_formula()
-        g = make_shared_node_refutation(f)
-        for nid in (9, "5", None, 2.5):
-            for read in (g.node, g.literals):
-                with pytest.raises(KeyError) as info:
-                    read(nid)
-                assert info.value.args == ("no node with id %r" % (nid,),)
-            assert nid not in g and g.prune(nid) is None
-        assert g == make_shared_node_refutation(f)
+        reserved = make_shared_node_refutation(f)
+        for g in (reserved, forge_graph(nodes_of(reserved))):
+            ids, trace = g.node_ids(), export_trace(g)
+            for nid in (9, "5", None, 2.5, 2.0):
+                for read in (g.node, g.literals):
+                    with pytest.raises(KeyError) as info:
+                        read(nid)
+                    assert info.value.args == ("no node with id %r" % (nid,),)
+                assert nid not in g and g.prune(nid) is None
+                with pytest.raises(ValueError) as info:
+                    g.add_node(nid, 3, 3)
+                assert str(info.value) == "premise id not defined earlier"
+            assert g.node_ids() == ids and export_trace(g) == trace
+            assert g == make_shared_node_refutation(f)
 
     def test_pruned_nodes_are_compacted_away(self):
         # 300 copies of (-2), most pruned: the rows left follow the nodes

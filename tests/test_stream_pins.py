@@ -31,7 +31,6 @@ import itertools
 import pytest
 
 from proofsat import Formula, Solver, SolverConfig, export_trace, gen_random_kcnf
-from proofsat.cli import _config_label
 from proofsat.engine import MODE_DLL, MODE_TAE
 
 
@@ -52,10 +51,10 @@ def _bcp_configs():
     configs = {}
     for ncb, cdb, ccr in itertools.product((False, True), repeat=3):
         kw = dict(bcp=True, ncb=ncb, cdb_1uip=cdb, ccr=ccr)
-        configs[_config_label(SolverConfig(**kw))] = kw
+        configs[SolverConfig(**kw).label] = kw
     for cdb, ccr in itertools.product((False, True), repeat=2):
         kw = dict(bcp=True, ncb=True, ncb_left_adjust=True, cdb_1uip=cdb, ccr=ccr)
-        configs[_config_label(SolverConfig(**kw))] = kw
+        configs[SolverConfig(**kw).label] = kw
     configs["dll_strict+bcp"] = dict(mode=MODE_DLL, bcp=True)
     return configs
 
@@ -64,10 +63,10 @@ def _plain_configs():
     configs = {}
     for ncb, cdb, ccr in itertools.product((False, True), repeat=3):
         kw = dict(ncb=ncb, cdb_1uip=cdb, ccr=ccr)
-        configs[_config_label(SolverConfig(**kw))] = kw
+        configs[SolverConfig(**kw).label] = kw
     for cdb, ccr in itertools.product((False, True), repeat=2):
         kw = dict(ncb=True, ncb_left_adjust=True, cdb_1uip=cdb, ccr=ccr)
-        configs[_config_label(SolverConfig(**kw))] = kw
+        configs[SolverConfig(**kw).label] = kw
     configs["sss order=5,3"] = dict(order=(5, 3))
     return configs
 
