@@ -177,7 +177,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError("unknown mode %r" % (self.mode,))
-        for name, _, modes in FEATURES:
+        for name, _, modes in (*FEATURES, ("debug_checks", "", MODES)):
+            if getattr(self, name).__class__ is not bool:
+                raise ValueError("%s must be a bool, got %r" % (name, getattr(self, name)))
             if getattr(self, name) and self.mode not in modes:
                 raise ValueError("mode %s does not support %s" % (self.mode, name))
         if self.ncb_left_adjust and not self.ncb:
@@ -247,13 +249,13 @@ class Solver:
     """Single-use solver: construct, then solve() or step() to completion;
     ``list(iter(solver.step, None))`` is the run's event stream.
 
-    The input formula is copied; with clause recording enabled the copy
-    grows and is returned as ``outcome.instance``.
+    ``outcome.instance`` is the input formula itself, unless clause
+    recording is on: then it is a copy, which the recorded clauses grow.
     """
 
     def __init__(self, formula: Formula, config: Optional[SolverConfig] = None):
         self.config = config or SolverConfig()
-        self.formula = formula.copy()
+        self.formula = formula.copy() if self.config.ccr else formula
         self.n = self.formula.num_vars
         for v in self.config.order:
             if v > self.n:
@@ -264,7 +266,7 @@ class Solver:
         self.outcome: Optional[SolveOutcome] = None
 
         # Clause state, indexed by clause id - 1; the clauses are the
-        # formula copy's own list, which clause recording appends to.
+        # formula's own list, which clause recording appends to.
         self.clauses: List[Clause] = self.formula.clauses
         # state[i] = (not-false literals) + W * (true literals) of clause i,
         # where W exceeds the length of every clause held: the clause is
@@ -274,16 +276,17 @@ class Solver:
         # words past CPython's cached small ints, 20% slower at n = 100.
         self.state: List[int] = list(map(len, self.clauses))
         self.W = 1 + max(self.state, default=0)
-        # occ[lit]: indices of the clauses holding lit, an exact-size tuple
-        # (occ[-v] counts from the end); a literal that no clause holds
-        # shares the empty tuple.
+        # occ[lit]: the indices of the clauses holding lit, an exact-size
+        # tuple that is replaced, never grown (occ[-v] counts from the end):
+        # literals that clause i holds first share one (i,), and unheld ones ().
         self.occ: List[Tuple[int, ...]] = [()] * (2 * self.n + 1)
         occ, grown = self.occ, []  # literals held more than once: their lists become tuples
         for i, clause in enumerate(self.clauses):
+            first = (i,)
             for lit in clause:
                 held = occ[lit]
                 if not held:
-                    occ[lit] = (i,)
+                    occ[lit] = first
                 elif held.__class__ is list:
                     held.append(i)
                 else:

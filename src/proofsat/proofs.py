@@ -152,6 +152,10 @@ class RefutationGraph:
     ``add_source`` and ``parse_trace`` keep it, and ``add_resolvent`` and
     ``prune`` clear it for good, as does extracting a sub-graph.
     ``check_refutation`` re-derives no resolvent of a marked graph.
+    ``extract_derivation`` returns a ``_shared`` graph: it reads its
+    source's columns and arena through its own row mask, which the source's
+    appends and compactions leave as it was, until its own first ``_file``
+    compacts it.  A row beyond a graph's mask is not its row.
     """
 
     def __init__(self) -> None:
@@ -169,6 +173,7 @@ class RefutationGraph:
         self._reserved = 0  # ids 1.._reserved: _sources' clauses, filed on first use
         self._src_filed = bytearray(1)  # byte k is 1 while source k is filed
         self._derived = True
+        self._shared = False  # the columns and arena belong to another graph
 
     def _columns(self) -> Tuple[array, ...]:
         return self._ids, self._left, self._right, self._pivot, self._start, self._len
@@ -177,9 +182,9 @@ class RefutationGraph:
 
     def _row(self, nid: int) -> int:
         """The row of filed node ``nid``, or -1; a reserved source has none."""
-        ids = self._ids
+        ids, live = self._ids, self._live
         r = bisect_left(ids, nid)
-        return r if r < len(ids) and ids[r] == nid and self._live[r] else -1
+        return r if r < len(live) and ids[r] == nid and live[r] else -1
 
     def _records(self) -> Iterator[Tuple[int, int, int, int, int, Sequence[Literal]]]:
         """(row, id, left, right, pivot, literals) of every filed node, by
@@ -221,6 +226,8 @@ class RefutationGraph:
             raise ValueError(
                 "node id %d must exceed %d, the highest id filed before it" % (nid, self._next_id - 1)
             )
+        if self._shared:
+            self._keep_rows()
         arena = self._lits
         end = len(arena)
         try:
@@ -253,28 +260,26 @@ class RefutationGraph:
         self._live[r] = 0
         self._dead += 1
         if self._dead >= _COMPACT_MIN and 2 * self._dead > len(self._live):
-            self._keep_rows(self, self._live, pack=True)
+            self._keep_rows()
 
-    def _keep_rows(self, graph: "RefutationGraph", mask: bytearray, pack: bool) -> None:
-        """Replace this graph's rows with the rows of ``graph`` that ``mask``
-        selects.  With ``pack``, as when a graph compacts itself the way a
-        clause allocator reclaims deleted clauses, their literals move to a
-        new arena.  Without, the two graphs share ``graph``'s arena, which
-        is safe because a graph only ever appends to its arena."""
+    def _keep_rows(self) -> None:
+        """Rebuild the columns and arena from the filed rows alone, the way
+        a clause allocator reclaims deleted clauses.  The old ones are left
+        as they were, for a derivation that shares them, and a ``_shared``
+        graph owns its columns from then on."""
         ids, left, right, pivot, starts, lens = (
-            array("i", compress(column, mask)) for column in graph._columns()
+            array("i", compress(column, self._live)) for column in self._columns()
         )
-        arena = graph._lits
-        if pack:
-            old, arena = arena, array("i")
-            for start, n in zip(starts, lens):
-                arena += old[start : start + n]
-            starts = array("i", accumulate(lens, initial=0))
-            del starts[-1]
+        old, arena = self._lits, array("i")
+        for start, n in zip(starts, lens):
+            arena += old[start : start + n]
+        starts = array("i", accumulate(lens, initial=0))
+        del starts[-1]
         self._ids, self._left, self._right, self._pivot = ids, left, right, pivot
         self._start, self._len, self._lits = starts, lens, arena
         self._live = bytearray(b"\x01") * len(ids)
         self._dead = 0
+        self._shared = False
 
     # -- construction -----------------------------------------------------
 
@@ -413,9 +418,10 @@ class RefutationGraph:
 
     def extract_derivation(self, node_id: int) -> "RefutationGraph":
         """Subgraph of everything reachable from node_id, ids preserved.
-        It shares this graph's reserved sources and literal arena.  A
-        malformed graph can reference premises that were never added; the
-        checker reports those, so the walk just skips them."""
+        It shares this graph's reserved sources, columns and literal arena,
+        and owns only the mask of its rows (see ``_shared``).  A malformed
+        graph can reference premises that were never added; the checker
+        reports those, so the walk just skips them."""
         self.node(node_id)
         sub = RefutationGraph()
         sub._sources, sub._reserved = self._sources, self._reserved
@@ -433,9 +439,10 @@ class RefutationGraph:
             rows[r] = 1
             if self._left[r] != _NONE:
                 stack += (self._left[r], self._right[r])
-        sub._keep_rows(self, rows, pack=False)
-        sub._derived = False
-        sub._next_id = max(sub._ids[-1] if sub._ids else 0, sub._reserved) + 1
+        sub._ids, sub._left, sub._right, sub._pivot, sub._start, sub._len = self._columns()
+        sub._lits, sub._live, sub._dead, sub._shared = self._lits, rows, rows.count(0), True
+        sub._derived, last = False, rows.rfind(1)
+        sub._next_id = max(self._ids[last] if last >= 0 else 0, sub._reserved) + 1
         return sub
 
 
@@ -473,7 +480,7 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
     trusted = graph._derived  # then no row is dead, and premises precede
     # The rows of the premises of each resolvent row, or -1; a reserved
     # source premise reads -1.
-    left_rows = array("i", [-1]) * len(lefts)
+    left_rows = array("i", [-1]) * len(graph._live)
     right_rows = array("i", left_rows)
     for r, nid, left, right, pivot, lits in graph._records():
         last = nid
@@ -507,7 +514,7 @@ def check_refutation(graph: RefutationGraph, formula: Formula) -> CheckReport:
     # in id order, which is topological, so a premise contributes its mask
     # only when its row is lower than the node's; a mask used once is
     # dropped when used.  Sources fill no bit and are skipped.
-    uses = bytearray(len(lefts))
+    uses = bytearray(len(left_rows))
     sink = locate(empty_id if complete else last)[0] if last is not None else -1
     stack = [sink] if sink >= 0 and lefts[sink] != _NONE else []
     if stack:

@@ -14,7 +14,9 @@ verdict, ``Stats.as_dict()``, the ``Solver.step()`` event stream, the model,
 the root id, the final instance's DIMACS text and a separate ``solve()`` run
 of the same input; and, for the extracted refutation and for the solver's
 whole graph, their trace and DOT bytes, their ``CheckReport`` and the
-``CheckReport`` of their parsed trace.
+``CheckReport`` of their parsed trace; and the solver's graph digested
+again the same way after the refutation's root is pruned from the
+extracted refutation.
 
 The corpus is fixed:
 
@@ -99,15 +101,22 @@ def _digest(proofsat, formula, config) -> str:
     put(proofsat.write_dimacs(out.instance))
     again = proofsat.Solver(formula, config).solve()
     put((again.verdict, again.stats.as_dict(), again.model, again.root))
-    for graph in (out.proof, out.graph):
+
+    def put_graph(graph) -> None:
         if graph is None:
             put(None)
-            continue
+            return
         trace = proofsat.export_trace(graph)
         put(trace)
         put(proofsat.export_dot(graph))
         put(proofsat.check_refutation(graph, formula))
         put(proofsat.check_refutation(proofsat.parse_trace(trace, formula), formula))
+
+    put_graph(out.proof)
+    put_graph(out.graph)
+    if out.proof is not None:  # a write to the derivation must not show in its source
+        put(out.proof.prune(out.root))
+        put_graph(out.graph)
     return h.hexdigest()
 
 

@@ -329,8 +329,20 @@ class TestCcr:
     def test_caller_formula_not_mutated(self):
         f = make_base_formula()
         out, _ = run(f, cdb_1uip=True, ccr=True)
-        assert len(f) == 4
-        assert len(out.instance) == 5
+        assert len(f) == 4 and f == make_base_formula()
+        assert len(out.instance) == 5 and out.instance.clauses is not f.clauses
+
+    @pytest.mark.parametrize(
+        "kw", [{}, {"bcp": True, "ncb": True, "cdb_1uip": True}, {"mode": MODE_DLL}, {"mode": MODE_TAE}]
+    )
+    def test_instance_is_the_input_formula_without_recording(self, kw):
+        # Nothing is appended without ccr, so the run keeps the caller's
+        # formula instead of a copy, and leaves it as it was.
+        f = make_base_formula()
+        clauses = list(f.clauses)
+        out, _ = run(f, **kw)
+        assert out.verdict == "UNSAT"
+        assert out.instance is f and f.clauses == clauses
 
     def test_duplicate_clauses_not_recorded_twice(self):
         out, _ = run(make_base_formula(), ccr=True)
@@ -544,6 +556,27 @@ class TestConfigValidation:
     )
     def test_each_rejection_names_its_rule(self, kw, message):
         # The first feature a mode lacks, in label order, is the one named.
+        with pytest.raises(ValueError) as info:
+            SolverConfig(**kw)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"ccr": "no", "bcp": 0.0, "ncb": [1]}, "bcp must be a bool, got 0.0"),
+            ({"ccr": "no"}, "ccr must be a bool, got 'no'"),
+            ({"ncb": [1]}, "ncb must be a bool, got [1]"),
+            ({"mode": MODE_DLL, "ncb": []}, "ncb must be a bool, got []"),
+            ({"ncb": True, "ncb_left_adjust": 1}, "ncb_left_adjust must be a bool, got 1"),
+            ({"cdb_1uip": None}, "cdb_1uip must be a bool, got None"),
+            ({"debug_checks": 1}, "debug_checks must be a bool, got 1"),
+            ({"mode": MODE_TAE, "debug_checks": "yes"}, "debug_checks must be a bool, got 'yes'"),
+        ],
+    )
+    def test_flags_must_be_bools(self, kw, message):
+        # A flag is refused by its type, as seed and order are, before its
+        # truth is read: a truthy non-bool switched the feature on, and a
+        # falsy one passed in a mode that lacks the feature.
         with pytest.raises(ValueError) as info:
             SolverConfig(**kw)
         assert str(info.value) == message

@@ -27,7 +27,11 @@ the unit chain below.  A ``Clause`` that wrapped its literal tuple in a
 that grew a list of clause indices per literal by appending, and kept a
 second list of the clause tuples beside a true-literal count and a
 not-false count per clause, took 141 and 242 bytes per clause on the two
-set-up tests below."""
+set-up tests below; one that also copied the clause list of a formula it
+would never append to, and built a new ``(i,)`` tuple for each literal
+first held by clause i, took 121 and 190.  An extracted derivation that
+copied six 4-byte columns of its source's rows kept about 25 bytes per
+proof node."""
 import gc
 import sys
 import tracemalloc
@@ -112,16 +116,35 @@ def setup_bytes_per_clause(formula):
 
 
 def test_setup_on_random_3cnf_files_no_proof_sources():
-    # About 121 bytes per input clause: clause state words and occurrence
+    # About 111 bytes per input clause: clause state words and occurrence
     # tuples, and the lists an occurrence tuple is grown in.
     per_clause = setup_bytes_per_clause(gen_random_kcnf(2000, 8520, 3, 7))
-    assert per_clause < 125, "Solver(...) took %d B per clause" % per_clause
+    assert per_clause < 116, "Solver(...) took %d B per clause" % per_clause
 
 
 def test_setup_on_unit_chains_files_no_proof_sources():
-    # About 190 bytes per input clause.
+    # About 134 bytes per input clause: both literals of a chain clause
+    # first occur in it and share its one (i,).
     per_clause = setup_bytes_per_clause(gen_bcp_separation(300))
-    assert per_clause < 215, "Solver(...) took %d B per clause" % per_clause
+    assert per_clause < 160, "Solver(...) took %d B per clause" % per_clause
+
+
+def test_extracted_derivation_shares_its_source_rows():
+    # About 2 bytes per proof node: a row mask over the source's 2,652
+    # rows, for 1,941 nodes, and the derivation's own source flags.
+    out = Solver(gen_random_kcnf(40, 170, 3, 1), SolverConfig(bcp=True)).solve()
+    proof = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        proof.append(out.graph.extract_derivation(out.root))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert proof[0] == out.proof and len(proof[0]) == 1941
+    per_node = kept / len(proof[0])
+    assert per_node < 4, "the derivation took %.1f B per node" % per_node
 
 
 def test_checker_memory_does_not_grow_with_variable_ids():

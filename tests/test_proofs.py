@@ -160,8 +160,99 @@ class TestRefutationGraph:
         g = make_shared_node_refutation(make_base_formula())
         sub = g.extract_derivation(6)
         assert sub.node_ids() == [1, 2, 3, 5, 6]
-        assert sub.size == 2
+        assert sub.size == 2 and len(sub) == 5
         assert all(sub.node(i) == g.node(i) for i in sub.node_ids())
+
+
+def reads(graph):
+    """Everything a reader sees of a graph: its ids, nodes, trace, length
+    and size."""
+    ids = graph.node_ids()
+    return ids, [graph.node(k) for k in ids], export_trace(graph), len(graph), graph.size
+
+
+class TestSharedDerivation:
+    """An extracted derivation reads its source's columns through a row
+    mask of its own until its first write, so neither graph's writes show
+    in the other."""
+
+    @staticmethod
+    def solved():
+        # Plain sss on an UNSAT 3-CNF: a 309-resolvent refutation in a
+        # graph of 518 rows, some of them pruned.
+        out = solve(gen_random_kcnf(20, 96, 3, 2), SolverConfig())
+        assert out.proof.size == 309 and out.proof._ids is out.graph._ids
+        return out
+
+    def test_source_writes_leave_the_derivation_as_extracted(self):
+        f = make_base_formula()
+        g = make_shared_node_refutation(f)
+        sub = g.extract_derivation(6)
+        before = reads(sub)
+        nid = g.add_node(2, 3, 3)  # appended to the shared columns
+        assert reads(sub) == before and nid not in sub
+        assert g.prune(6) == (1, 5) and 6 not in g
+        assert reads(sub) == before
+        copies = [g.add_node(2, 3, 3) for _ in range(300)]
+        for k in copies:
+            g.prune(k)
+        assert g._ids is not sub._ids  # compacted into new columns
+        assert reads(sub) == before
+        # Its own first write files id 7, which the source holds as (-1).
+        assert sub.add_node(2, 3, 3) == 7 and sub.literals(7) == (-2,)
+        assert sub.node_ids() == before[0] + [7] and g.literals(7) == (-1,)
+        columns = sub._ids  # its own from then on: a second write moves no row
+        assert sub.add_node(1, 7, 2) == 8 and sub._ids is columns and len(sub) == 7
+
+    def test_source_writes_in_a_solver_graph(self):
+        out = self.solved()
+        before = reads(out.proof)
+        for k in out.graph.node_ids():
+            out.graph.prune(k)
+        out.graph.add_resolvent(1, 2, 1, [3])
+        assert reads(out.proof) == before
+        report = check_refutation(out.proof, out.instance)
+        assert report.valid and report.complete and report.size == 309
+
+    @pytest.mark.parametrize("write", ["add_node", "add_source", "add_resolvent", "prune"])
+    def test_derivation_writes_leave_the_source_as_it_was(self, write):
+        # The derivation of node 6 files its next id, 7, which the source
+        # holds as another node.
+        f = make_base_formula()
+        g = make_shared_node_refutation(f)
+        sub = g.extract_derivation(6)
+        before = reads(g)
+        if write == "add_node":
+            assert sub.add_node(2, 3, 3) == 7
+        elif write == "add_source":
+            assert sub.add_source(Clause([-2]), 7) == 7
+        elif write == "add_resolvent":
+            assert sub.add_resolvent(2, 3, 3, [-2]) == 7
+        else:
+            assert sub.prune(6) == (1, 5) and 6 not in sub
+        assert reads(g) == before and g.literals(7) == (-1,)
+        assert g.add_node(2, 3, 3) == 9 and 9 not in sub
+        if write != "prune":
+            assert sub.literals(7) == (-2,) and sub.node_ids() == [1, 2, 3, 5, 6, 7]
+
+    def test_derivation_prunes_leave_a_solver_graph_as_it_was(self):
+        out = self.solved()
+        before = reads(out.graph)
+        resolvents = [k for k in out.proof.node_ids() if k != out.root and k > len(out.instance)]
+        for k in resolvents:
+            assert out.proof.prune(k) is not None
+        assert out.proof._ids is not out.graph._ids  # compacted on its own
+        assert out.proof.node_ids()[-1] == out.root and out.proof.size == 1
+        assert reads(out.graph) == before
+
+    def test_derivation_of_a_derivation(self):
+        out = self.solved()
+        for k in out.proof.node_ids()[::7]:
+            again = out.proof.extract_derivation(k)
+            assert reads(again) == reads(out.graph.extract_derivation(k))
+            assert check_refutation(again, out.instance) == check_refutation(
+                out.graph.extract_derivation(k), out.instance
+            )
 
 
 class TestChecker:
